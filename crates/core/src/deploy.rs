@@ -5,8 +5,10 @@
 //! on top: **offloaded compaction** (the storage server executes
 //! compactions, reading DEKs via the DEK-IDs embedded in file metadata)
 //! and **read-only instances** (extra compute nodes serving queries from
-//! the shared files without write access). This module provides all three
-//! pieces over the simulated network of [`shield_env::RemoteEnv`].
+//! the shared files without write access). This module provides the
+//! storage mount and the offloaded compactor over the simulated network
+//! of [`shield_env::RemoteEnv`]; read-only instances are live
+//! [`crate::ReplicaDb`]s ([`crate::open_shield_replica`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,14 +19,7 @@ use shield_lsm::compaction::{
 };
 use shield_lsm::encryption::EncryptionConfig;
 use shield_lsm::error::Result;
-use shield_lsm::integrity::IntegrityOptions;
-use shield_lsm::memtable::{LookupResult, MemTable};
-use shield_lsm::types::SequenceNumber;
 use shield_lsm::version::table_cache::TableCache;
-use shield_lsm::version::version::{GetResult, Version};
-use shield_lsm::version::{parse_file_name, wal_file_name, FileType, VersionSet};
-use shield_lsm::wal::{open_wal_tailer, TailPoll};
-use shield_lsm::WriteBatch;
 
 /// A disaggregated storage cluster: one backing store, two views.
 ///
@@ -141,166 +136,6 @@ impl CompactionExecutor for OffloadedCompactor {
     }
 }
 
-/// A read-only instance over a shared database directory (paper §2.2).
-///
-/// Loads the MANIFEST without mutating anything, replays live WAL
-/// segments into a private memtable for freshness, and serves gets/scans.
-/// With SHIELD enabled it resolves DEKs through its own resolver — the
-/// metadata-enabled sharing path.
-pub struct ReadOnlyInstance {
-    env: Arc<dyn Env>,
-    path: String,
-    encryption: Option<EncryptionConfig>,
-    integrity: IntegrityOptions,
-    table_cache: Arc<TableCache>,
-    version: Version,
-    mem: Arc<MemTable>,
-    seq: SequenceNumber,
-}
-
-impl ReadOnlyInstance {
-    /// Opens the shared directory read-only.
-    pub fn open(
-        env: Arc<dyn Env>,
-        path: &str,
-        encryption: Option<EncryptionConfig>,
-    ) -> Result<Self> {
-        Self::open_with_integrity(env, path, encryption, IntegrityOptions::default())
-    }
-
-    /// [`ReadOnlyInstance::open`] with explicit integrity settings: the
-    /// engine-wide MAC key verifies authenticated plaintext files (SHIELD
-    /// files always verify with their own DEK's subkey).
-    pub fn open_with_integrity(
-        env: Arc<dyn Env>,
-        path: &str,
-        encryption: Option<EncryptionConfig>,
-        integrity: IntegrityOptions,
-    ) -> Result<Self> {
-        let table_cache = TableCache::new_with_stats(
-            env.clone(),
-            path.to_string(),
-            encryption.clone(),
-            None,
-            None,
-            128,
-            0,
-            shield_lsm::sst::fetcher::DEFAULT_INFLIGHT_READS,
-            integrity,
-            None,
-        );
-        let mut instance = ReadOnlyInstance {
-            env,
-            path: path.to_string(),
-            encryption,
-            integrity,
-            table_cache,
-            version: Version::new(),
-            mem: Arc::new(MemTable::new(0)),
-            seq: 0,
-        };
-        instance.refresh()?;
-        Ok(instance)
-    }
-
-    /// Re-reads the manifest and replays live WALs, catching up to the
-    /// primary's latest durable state.
-    ///
-    /// Returns `true` when the manifest ended at a clean record boundary.
-    /// `false` means the snapshot is consistent but the primary had an
-    /// edit in flight (torn tail) — possibly stale; retry after the
-    /// primary finishes the write if freshness matters. (The previous
-    /// reader silently tolerated that tail with no signal.)
-    pub fn refresh(&mut self) -> Result<bool> {
-        let state = VersionSet::load_read_only(
-            self.env.as_ref(),
-            &self.path,
-            self.encryption.as_ref(),
-            self.integrity,
-        )?;
-        let mut seq = state.last_sequence;
-        let mem = Arc::new(MemTable::new(0));
-        let mut wals: Vec<u64> = self
-            .env
-            .list_dir(&self.path)?
-            .iter()
-            .filter_map(|n| match parse_file_name(n) {
-                Some(FileType::Wal(num)) if num >= state.log_number => Some(num),
-                _ => None,
-            })
-            .collect();
-        wals.sort_unstable();
-        for number in wals {
-            let wal_path = shield_env::join_path(&self.path, &wal_file_name(number));
-            let mut tailer = open_wal_tailer(
-                self.env.as_ref(),
-                &wal_path,
-                self.encryption.as_ref(),
-                self.integrity.key,
-            )?;
-            // The primary may still be appending; a pending tail (or even
-            // a mid-read race) simply ends this segment's replay.
-            while let Ok(TailPoll::Record(record)) = tailer.poll() {
-                let Ok(batch) = WriteBatch::from_data(&record) else { break };
-                batch.insert_into(&mem)?;
-                seq = seq.max(batch.sequence() + u64::from(batch.count()) - 1);
-            }
-        }
-        self.version = state.version;
-        self.mem = mem;
-        self.seq = seq;
-        Ok(!state.incomplete_tail)
-    }
-
-    /// The sequence number this instance reads at.
-    #[must_use]
-    pub fn sequence(&self) -> SequenceNumber {
-        self.seq
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.mem.get(key, self.seq) {
-            LookupResult::Found(v) => return Ok(Some(v)),
-            LookupResult::Deleted => return Ok(None),
-            LookupResult::NotFound => {}
-        }
-        match self.version.get(&self.table_cache, key, self.seq)? {
-            GetResult::Found(v) => Ok(Some(v)),
-            GetResult::Deleted | GetResult::NotFound => Ok(None),
-        }
-    }
-
-    /// Range scan over persistent + replayed state.
-    pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        use shield_lsm::iter::{InternalIterator, MergingIterator};
-        use shield_lsm::types::{
-            extract_seq_type, extract_user_key, make_lookup_key, ValueType,
-        };
-        let mut children: Vec<Box<dyn InternalIterator>> = vec![Box::new(self.mem.iter())];
-        children.extend(self.version.iterators(&self.table_cache)?);
-        let mut merged = MergingIterator::new(children);
-        merged.seek(&make_lookup_key(start, self.seq));
-        let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut skip: Option<Vec<u8>> = None;
-        while merged.valid() && out.len() < limit {
-            let ikey = merged.key();
-            let user = extract_user_key(ikey).to_vec();
-            let (entry_seq, vtype) = extract_seq_type(ikey);
-            if entry_seq > self.seq || skip.as_deref() == Some(&user[..]) {
-                merged.next();
-                continue;
-            }
-            skip = Some(user.clone());
-            if vtype == Some(ValueType::Value) {
-                out.push((user, merged.value().to_vec()));
-            }
-            merged.next();
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +143,7 @@ mod tests {
     use shield_crypto::Algorithm;
     use shield_env::MemEnv;
     use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, ServerId};
-    use shield_lsm::{Options, ReadOptions, WriteOptions};
+    use shield_lsm::{Options, ReadOptions, ReplicaDb, ReplicaOptions, WriteOptions};
 
     const PRIMARY: ServerId = ServerId(1);
     const COMPACTOR: ServerId = ServerId(2);
@@ -420,7 +255,8 @@ mod tests {
         assert!(failed, "revoked compactor must not compact");
     }
 
-    /// Read-only instance over shared files, with and without encryption.
+    /// A replica opened with its own DEK resolver only — it learns DEKs
+    /// from the DEK-IDs in file metadata — serves reads from shared files.
     #[test]
     fn read_only_instance_serves_reads() {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
@@ -443,7 +279,12 @@ mod tests {
         sdb.put(&WriteOptions { sync: true }, b"tail-key", b"wal-only").unwrap();
 
         let reader_cfg = remote_cfg(&kds, &env, READER, "reader.cache");
-        let ro = ReadOnlyInstance::open(env.clone(), "db", Some(reader_cfg)).unwrap();
+        let ro = ReplicaDb::open(
+            Options::new(env.clone()).with_encryption(reader_cfg),
+            "db",
+            ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() },
+        )
+        .unwrap();
         assert_eq!(ro.get(b"k0123").unwrap(), Some(b"flushed".to_vec()));
         assert_eq!(ro.get(b"tail-key").unwrap(), Some(b"wal-only".to_vec()));
         assert_eq!(ro.get(b"absent").unwrap(), None);
@@ -457,12 +298,17 @@ mod tests {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let db = crate::open_plain(Options::new(env.clone()), "db").unwrap();
         db.put(&WriteOptions::default(), b"a", b"1").unwrap();
-        let mut ro = ReadOnlyInstance::open(env.clone(), "db", None).unwrap();
+        let ro = ReplicaDb::open(
+            Options::new(env.clone()),
+            "db",
+            ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() },
+        )
+        .unwrap();
         assert_eq!(ro.get(b"a").unwrap(), Some(b"1".to_vec()));
         db.put(&WriteOptions::default(), b"b", b"2").unwrap();
-        // Stale until refresh.
+        // Stale until the next catch-up round.
         assert_eq!(ro.get(b"b").unwrap(), None);
-        ro.refresh().unwrap();
+        ro.catch_up().unwrap();
         assert_eq!(ro.get(b"b").unwrap(), Some(b"2".to_vec()));
     }
 }

@@ -12,9 +12,11 @@
 //!   multi-threaded compaction encryption. DEK rotation falls out of
 //!   compaction.
 //! * [`deploy`] — disaggregated-storage composition: a network-modeled
-//!   storage mount, an [`deploy::OffloadedCompactor`] that runs compactions
-//!   on the storage server under its own identity, and
-//!   [`deploy::ReadOnlyInstance`]s that serve reads from shared files.
+//!   storage mount and an [`deploy::OffloadedCompactor`] that runs
+//!   compactions on the storage server under its own identity.
+//! * [`open_shield_replica`] — a live [`ReplicaDb`] that serves reads
+//!   from the shared files under its own KDS identity (paper §2.2's
+//!   read-only instances).
 
 pub mod deploy;
 pub mod encfs;
@@ -236,6 +238,10 @@ impl Deref for ShieldReplica {
 /// replica out without touching the primary. `cache_path` locates the
 /// replica's private secure DEK cache; it must not be the primary's
 /// database directory (the primary owns the `DEK_CACHE` file in there).
+///
+/// The replica reads with [`Options::new`]'s read budget — the same
+/// block cache and open-table limit as a default primary. Call
+/// [`ReplicaDb::open`] directly to pass other [`Options`].
 pub fn open_shield_replica(
     env: Arc<dyn shield_env::Env>,
     path: &str,
@@ -261,7 +267,7 @@ pub fn open_shield_replica(
     if !shield.encrypt_wal {
         encryption = encryption.with_plaintext_wal();
     }
-    let replica = ReplicaDb::open(env, path, Some(encryption), opts)?;
+    let replica = ReplicaDb::open(Options::new(env).with_encryption(encryption), path, opts)?;
     Ok(ShieldReplica { replica, resolver })
 }
 

@@ -29,20 +29,17 @@ use crate::db::batch::WriteBatch;
 use crate::db::metrics::{LevelStats, MetricsReport, OpHistograms};
 use crate::db::options::{Options, ReadOptions, WriteOptions};
 use crate::db::pool::{JobClass, JobPool};
+use crate::db::view::{open_read_side, refresh_read_mirrors, ReadView, ViewIterator};
 use crate::obs::{EnvLogSink, LOG_FILE_NAME};
 use crate::error::{Error, Result, Severity};
-use crate::iter::{InternalIterator, MergingIterator};
-use crate::memtable::{LookupResult, MemTable};
+use crate::iter::{scan_range, InternalIterator, UserIterator};
+use crate::memtable::MemTable;
 use crate::sst::builder::{TableBuilder, TableBuilderOptions};
 use crate::statistics::Statistics;
-use crate::types::{
-    extract_seq_type, extract_user_key, make_internal_key, make_lookup_key, SequenceNumber,
-    ValueType, MAX_SEQUENCE,
-};
+use crate::types::{make_internal_key, SequenceNumber, ValueType, MAX_SEQUENCE};
 use crate::version::edit::{FileMeta, VersionEdit};
 use crate::version::filenames::{parse_file_name, sst_file_name, wal_file_name, FileType};
 use crate::version::table_cache::TableCache;
-use crate::version::version::GetResult;
 use crate::version::VersionSet;
 use crate::wal::{LogWriter, TailPoll};
 
@@ -171,44 +168,17 @@ impl Db {
         tracer.set_slow_op_threshold(opts.slow_op_threshold);
         tracer.set_listener(events.clone());
 
-        let block_cache = if let Some(shared) = &opts.shared_block_cache {
-            // Sharded deployments pass one cache for every shard, so hot
-            // shards steal capacity from cold ones instead of each being
-            // boxed into a fixed slice.
-            Some(shared.clone())
-        } else if opts.block_cache_bytes > 0 {
-            Some(BlockCache::with_config(crate::cache::CacheConfig {
-                capacity: opts.block_cache_bytes,
-                strict_capacity: opts.block_cache_strict_capacity,
-                high_pri_pool_ratio: opts.high_pri_pool_ratio,
-                ..crate::cache::CacheConfig::default()
-            })?)
-        } else {
-            None
-        };
-        let integrity = crate::integrity::IntegrityOptions {
-            mode: opts.integrity,
-            key: opts.integrity_key,
-        };
-        let table_cache = TableCache::new_with_stats(
-            env.clone(),
-            path.to_string(),
-            opts.encryption.clone(),
-            block_cache.clone(),
-            Some(stats.clone()),
-            opts.max_open_files,
-            opts.readahead_blocks,
-            opts.max_inflight_reads,
-            integrity,
-            Some(events.clone()),
-        );
+        let (block_cache, table_cache) = open_read_side(&opts, path, Some(events.clone()))?;
         let mut versions = VersionSet::new(
             env.clone(),
             path.to_string(),
             opts.encryption.clone(),
             table_cache.clone(),
         );
-        versions.set_integrity(integrity);
+        versions.set_integrity(crate::integrity::IntegrityOptions {
+            mode: opts.integrity,
+            key: opts.integrity_key,
+        });
         let exists = VersionSet::db_exists(env.as_ref(), path);
         if exists {
             if opts.error_if_exists {
@@ -393,48 +363,11 @@ impl Db {
 
     fn get_impl(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.inner.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let seq = ropts
-            .snapshot_seq
-            .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire));
-        let (mem, imms, version) = {
-            let state = self.inner.state.lock();
-            (state.mem.clone(), state.imm.clone(), state.versions.current())
-        };
-        let t = perf::timer();
-        let mut memtable_hit: Option<Option<Vec<u8>>> = None;
-        match mem.get(key, seq) {
-            LookupResult::Found(v) => memtable_hit = Some(Some(v)),
-            LookupResult::Deleted => memtable_hit = Some(None),
-            LookupResult::NotFound => {
-                for imm in imms.iter().rev() {
-                    match imm.get(key, seq) {
-                        LookupResult::Found(v) => {
-                            memtable_hit = Some(Some(v));
-                            break;
-                        }
-                        LookupResult::Deleted => {
-                            memtable_hit = Some(None);
-                            break;
-                        }
-                        LookupResult::NotFound => {}
-                    }
-                }
-            }
+        let value = self.inner.read_view(ropts).get(key, ropts.fill_cache)?;
+        if value.is_some() {
+            self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
         }
-        perf::add_elapsed(PerfMetric::MemtableLookup, t);
-        if let Some(hit) = memtable_hit {
-            if hit.is_some() {
-                self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(hit);
-        }
-        match version.get_opt(&self.inner.table_cache, key, seq, ropts.fill_cache)? {
-            GetResult::Found(v) => {
-                self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(v))
-            }
-            GetResult::Deleted | GetResult::NotFound => Ok(None),
-        }
+        Ok(value)
     }
 
     /// Batched point lookup: one result slot per key, each equivalent to
@@ -459,51 +392,10 @@ impl Db {
 
     fn multi_get_impl(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
         self.inner.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
-        let seq = ropts
-            .snapshot_seq
-            .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire));
-        let (mem, imms, version) = {
-            let state = self.inner.state.lock();
-            (state.mem.clone(), state.imm.clone(), state.versions.current())
-        };
-        let mut out: Vec<Option<Result<Option<Vec<u8>>>>> = vec![None; keys.len()];
-        let t = perf::timer();
-        for (i, key) in keys.iter().enumerate() {
-            let hit = match mem.get(key, seq) {
-                LookupResult::Found(v) => Some(Some(v)),
-                LookupResult::Deleted => Some(None),
-                LookupResult::NotFound => imms.iter().rev().find_map(|imm| match imm.get(key, seq)
-                {
-                    LookupResult::Found(v) => Some(Some(v)),
-                    LookupResult::Deleted => Some(None),
-                    LookupResult::NotFound => None,
-                }),
-            };
-            if let Some(hit) = hit {
-                if hit.is_some() {
-                    self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
-                }
-                out[i] = Some(Ok(hit));
-            }
-        }
-        perf::add_elapsed(PerfMetric::MemtableLookup, t);
-        let unresolved: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
-        if !unresolved.is_empty() {
-            let sub: Vec<&[u8]> = unresolved.iter().map(|&i| keys[i]).collect();
-            let results =
-                version.multi_get_opt(&self.inner.table_cache, &sub, seq, ropts.fill_cache);
-            for (&i, result) in unresolved.iter().zip(results) {
-                out[i] = Some(match result {
-                    Ok(GetResult::Found(v)) => {
-                        self.inner.stats.gets_found.fetch_add(1, Ordering::Relaxed);
-                        Ok(Some(v))
-                    }
-                    Ok(GetResult::Deleted | GetResult::NotFound) => Ok(None),
-                    Err(e) => Err(e),
-                });
-            }
-        }
-        out.into_iter().map(|slot| slot.expect("every key resolved")).collect()
+        let results = self.inner.read_view(ropts).multi_get(keys, ropts.fill_cache);
+        let found = results.iter().filter(|r| matches!(r, Ok(Some(_)))).count();
+        self.inner.stats.gets_found.fetch_add(found as u64, Ordering::Relaxed);
+        results
     }
 
     /// Creates a consistent point-in-time snapshot.
@@ -520,46 +412,14 @@ impl Db {
     /// An iterator over live keys, visible at the latest state (or the
     /// snapshot in `ropts`).
     pub fn iter(&self, ropts: &ReadOptions) -> Result<DbIterator> {
-        let seq = ropts
-            .snapshot_seq
-            .unwrap_or_else(|| self.inner.last_published.load(Ordering::Acquire));
-        let (mem, imms, version) = {
-            let state = self.inner.state.lock();
-            (state.mem.clone(), state.imm.clone(), state.versions.current())
-        };
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(mem.iter()));
-        for imm in imms.iter().rev() {
-            children.push(Box::new(imm.iter()));
-        }
-        children.extend(version.iterators(&self.inner.table_cache)?);
-        Ok(DbIterator {
-            merged: MergingIterator::new(children),
-            seq,
-            current: None,
-            db: self.inner.clone(),
-            _pins: (mem, imms, version),
-        })
+        Ok(DbIterator { view: self.inner.read_view(ropts).iter()?, db: self.inner.clone() })
     }
 
     /// Range scan: up to `limit` live `(key, value)` pairs with
     /// `key >= start`.
     pub fn scan(&self, ropts: &ReadOptions, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut it = self.iter(ropts)?;
-        it.seek(start);
-        let mut out = Vec::with_capacity(limit.min(1024));
-        while it.valid() && out.len() < limit {
-            out.push((it.key().to_vec(), it.value().to_vec()));
-            it.next();
-        }
-        // A read error mid-iteration leaves the iterator invalid with the
-        // error parked in its status; a partial result must not pass as a
-        // complete one.
-        if let Err(e) = it.status() {
-            self.park_if_unrecoverable(&e);
-            return Err(e);
-        }
-        Ok(out)
+        scan_range(&mut it, start, limit).inspect_err(|e| self.park_if_unrecoverable(e))
     }
 
     /// Forces the active memtable to flush and waits until no immutable
@@ -928,36 +788,17 @@ impl DbInner {
         TracedOp { _op: op, _perf: perf }
     }
 
-    /// Refreshes ticker mirrors (env faults, block-cache totals, gauges)
-    /// from their live sources.
     fn refresh_stat_mirrors(&self) {
-        if let Some(faults) = self.env.fault_stats() {
-            self.stats
-                .env_faults_injected
-                .store(faults.injected_total(), Ordering::Relaxed);
-        }
-        if let Some(cache) = &self.block_cache {
-            let c = cache.stats();
-            let s = &self.stats;
-            s.block_cache_hits.store(c.hits(), Ordering::Relaxed);
-            s.block_cache_misses.store(c.misses(), Ordering::Relaxed);
-            s.block_cache_data_hits.store(c.data_hits, Ordering::Relaxed);
-            s.block_cache_data_misses.store(c.data_misses, Ordering::Relaxed);
-            s.block_cache_index_hits.store(c.index_hits, Ordering::Relaxed);
-            s.block_cache_index_misses.store(c.index_misses, Ordering::Relaxed);
-            s.block_cache_filter_hits.store(c.filter_hits, Ordering::Relaxed);
-            s.block_cache_filter_misses.store(c.filter_misses, Ordering::Relaxed);
-            s.block_cache_singleflight_waits.store(c.singleflight_waits, Ordering::Relaxed);
-            s.block_cache_oversized_bypass.store(c.oversized_bypass, Ordering::Relaxed);
-            s.block_cache_pinned_bytes.store(c.pinned_bytes, Ordering::Relaxed);
-            s.readahead_issued.store(c.readahead_issued, Ordering::Relaxed);
-            s.readahead_useful.store(c.readahead_useful, Ordering::Relaxed);
-            s.batched_reads.store(c.batched_reads, Ordering::Relaxed);
-            s.batch_read_requests.store(c.batch_read_requests, Ordering::Relaxed);
-        }
-        self.stats
-            .env_inflight_reads
-            .store(shield_env::inflight_reads_peak(), Ordering::Relaxed);
+        refresh_read_mirrors(&self.stats, self.env.as_ref(), self.block_cache.as_deref());
+    }
+
+    /// The read view at `ropts`' snapshot (or the latest published
+    /// sequence) over the live memtables and current version.
+    fn read_view(&self, ropts: &ReadOptions) -> ReadView {
+        let seq = ropts.snapshot_seq.unwrap_or_else(|| self.last_published.load(Ordering::Acquire));
+        let state = self.state.lock();
+        let mems = std::iter::once(&state.mem).chain(state.imm.iter().rev()).cloned().collect();
+        ReadView::new(self.table_cache.clone(), state.versions.current(), mems, seq)
     }
 
     /// Watchdog + windowed-stats ticker loop. The tick is the finer of
@@ -2005,99 +1846,55 @@ impl Drop for Snapshot {
 
 /// Iterator over live user keys and values.
 pub struct DbIterator {
-    merged: MergingIterator,
-    seq: SequenceNumber,
-    current: Option<(Vec<u8>, Vec<u8>)>,
+    view: ViewIterator,
     /// For the `iter_next` latency histogram.
     db: Arc<DbInner>,
-    /// Keeps memtables AND the version alive while the iterator exists:
-    /// the version pin (tracked by `VersionSet::referenced_files`) stops
-    /// obsolete-file GC from deleting SSTs that lazily-opening level
-    /// iterators have not read yet.
-    _pins: (Arc<MemTable>, Vec<Arc<MemTable>>, Arc<crate::version::version::Version>),
 }
 
 impl DbIterator {
     /// True if positioned on an entry.
     #[must_use]
     pub fn valid(&self) -> bool {
-        self.current.is_some()
+        self.view.valid()
     }
 
     /// Current user key.
     #[must_use]
     pub fn key(&self) -> &[u8] {
-        &self.current.as_ref().expect("valid").0
+        self.view.key()
     }
 
     /// Current value.
     #[must_use]
     pub fn value(&self) -> &[u8] {
-        &self.current.as_ref().expect("valid").1
+        self.view.value()
     }
 
     /// Positions on the first live key.
     pub fn seek_to_first(&mut self) {
-        self.merged.seek_to_first();
-        self.advance_to_visible(None);
+        self.view.seek_to_first();
     }
 
     /// Positions on the first live key >= `user_key`.
     pub fn seek(&mut self, user_key: &[u8]) {
-        self.merged.seek(&make_lookup_key(user_key, self.seq));
-        self.advance_to_visible(None);
+        self.view.seek(user_key);
     }
 
     /// Advances to the next live key.
     pub fn next(&mut self) {
         let op_start = std::time::Instant::now();
-        let skip = self.current.take().map(|(k, _)| k);
-        self.advance_to_visible(skip);
+        self.view.next();
         self.db.op_hists.iter_next.record_elapsed(op_start);
     }
 
     /// First error any underlying source hit. An iterator that went
     /// invalid with an error here has *stopped early*, not finished.
     pub fn status(&self) -> Result<()> {
-        self.merged.status()
-    }
-
-    /// Skips invisible/shadowed/deleted entries. `skip_key` is a user key
-    /// whose remaining versions must be bypassed.
-    fn advance_to_visible(&mut self, mut skip_key: Option<Vec<u8>>) {
-        self.current = None;
-        while self.merged.valid() {
-            let ikey = self.merged.key();
-            let user_key = extract_user_key(ikey);
-            let (entry_seq, vtype) = extract_seq_type(ikey);
-            if entry_seq > self.seq {
-                self.merged.next();
-                continue;
-            }
-            if skip_key.as_deref() == Some(user_key) {
-                self.merged.next();
-                continue;
-            }
-            match vtype {
-                Some(ValueType::Deletion) => {
-                    skip_key = Some(user_key.to_vec());
-                    self.merged.next();
-                }
-                Some(ValueType::Value) => {
-                    self.current =
-                        Some((user_key.to_vec(), self.merged.value().to_vec()));
-                    return;
-                }
-                None => {
-                    // Corrupt tag: skip defensively.
-                    self.merged.next();
-                }
-            }
-        }
+        self.view.status()
     }
 }
 
-impl crate::iter::UserIterator for DbIterator {
+impl UserIterator for DbIterator {
     fn valid(&self) -> bool {
         DbIterator::valid(self)
     }

@@ -8,6 +8,7 @@ pub mod options;
 pub mod pool;
 pub mod replica;
 pub mod sharded;
+pub(crate) mod view;
 
 pub use batch::WriteBatch;
 pub use db::{Db, DbIterator, Snapshot};

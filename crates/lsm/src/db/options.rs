@@ -213,6 +213,25 @@ impl Options {
         }
     }
 
+    /// The block cache this configuration reads through:
+    /// [`Options::shared_block_cache`] if set, else a private cache of
+    /// [`Options::block_cache_bytes`] (`None` when that is 0).
+    pub(crate) fn open_block_cache(&self) -> Result<Option<Arc<BlockCache>>> {
+        if let Some(shared) = &self.shared_block_cache {
+            return Ok(Some(shared.clone()));
+        }
+        if self.block_cache_bytes == 0 {
+            return Ok(None);
+        }
+        BlockCache::with_config(crate::cache::CacheConfig {
+            capacity: self.block_cache_bytes,
+            strict_capacity: self.block_cache_strict_capacity,
+            high_pri_pool_ratio: self.high_pri_pool_ratio,
+            ..crate::cache::CacheConfig::default()
+        })
+        .map(Some)
+    }
+
     /// Opens [`crate::ShardedDb`] with `n` hash-routed shards (clamped
     /// to ≥ 1). Use [`Options::with_shard_ranges`] for range routing.
     #[must_use]

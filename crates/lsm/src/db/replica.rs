@@ -3,10 +3,10 @@
 //! reads with a reportable staleness bound.
 //!
 //! The replica owns nothing on disk. It opens the primary's directory
-//! through any [`Env`] (a `MemEnv` for tests, `PosixEnv` for a shared
-//! mount, [`shield_env::RemoteEnv`] for the paper's disaggregated-storage
-//! topology) and runs a catch-up loop built entirely from the replay
-//! engine's parts:
+//! through any [`shield_env::Env`] (a `MemEnv` for tests, `PosixEnv` for
+//! a shared mount, [`shield_env::RemoteEnv`] for the paper's
+//! disaggregated-storage topology) and runs a catch-up loop built
+//! entirely from the replay engine's parts:
 //!
 //! * a [`ManifestTailer`] + [`EditApplier`] follow the CURRENT → MANIFEST
 //!   chain, surviving torn tail edits (retried from the held offset) and
@@ -16,30 +16,40 @@
 //!   a record torn mid-append is picked up once the primary finishes it.
 //!
 //! In SHIELD mode every file's DEK is resolved by DEK-ID through the
-//! replica's **own** resolver ([`EncryptionConfig`]) — the paper's
+//! replica's **own** resolver ([`Options::encryption`]) — the paper's
 //! metadata-enabled sharing path: the primary never ships key material,
 //! and revoking the replica's KDS authorization locks it out.
+//!
+//! Reads go through the same `ReadView` as the primary's, over a block
+//! cache and table cache built from the same [`Options`] the same way, so
+//! a replica has the primary's read budget: block cache, open-table
+//! limit, readahead and batched `multi_get`.
 //!
 //! ## Consistency model
 //!
 //! Reads serve a **prefix of the primary's committed history**. Each
-//! catch-up round publishes an immutable view `(version, memtables, seq)`;
-//! `get`/`multi_get`/`scan` read one view, so a single operation never
-//! mixes rounds. The published `seq` only covers records the replica
-//! actually holds with no gaps: WAL segments are credited in file order
-//! and crediting stops at the first segment whose tail was torn or
-//! unreadable, so a hole in segment *N* hides everything replayed from
-//! segment *N + 1* (entries above `seq` exist in the memtables but are
-//! sequence-filtered). The manifest's `last_sequence` is credited only
-//! when every live segment drained to a clean boundary — it counts
-//! records that may still sit in the primary's (unsynced) WAL buffer,
-//! which no replica can serve.
+//! catch-up round publishes an immutable `ReadView`; `get`/`multi_get`/
+//! `scan` read one view, so a single operation never mixes rounds. The
+//! published `seq` only covers records the replica actually holds with no
+//! gaps: WAL segments are credited in file order and crediting stops at
+//! the first segment whose tail was torn or unreadable, so a hole in
+//! segment *N* hides everything replayed from segment *N + 1* (entries
+//! above `seq` exist in the memtables but are sequence-filtered). The
+//! manifest's `last_sequence` is credited only when every live segment
+//! drained to a clean boundary — it counts records that may still sit in
+//! the primary's (unsynced) WAL buffer, which no replica can serve.
 //!
 //! Staleness is the gap between that served sequence and the highest
 //! sequence the replica has *observed* (WAL records parsed plus the
 //! manifest's high-water mark): [`ReplicaDb::staleness`]. With
 //! [`ReplicaOptions::max_staleness`] set, reads fail once the gap exceeds
 //! the bound instead of silently serving stale data.
+//!
+//! A published view is up to one poll behind, so the primary's GC may
+//! already have deleted an SST it names. A read that fails with
+//! `NotFound` for such a file runs one catch-up round and retries on the
+//! fresh view; the error surfaces only if the fresh view still names the
+//! file.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,17 +58,18 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use shield_core::JsonBuilder;
-use shield_env::Env;
 
+use crate::cache::BlockCache;
 use crate::db::batch::WriteBatch;
-use crate::encryption::EncryptionConfig;
+use crate::db::options::Options;
+use crate::db::view::{open_read_side, refresh_read_mirrors, ReadView};
 use crate::error::{Error, Result};
-use crate::integrity::IntegrityOptions;
-use crate::memtable::{LookupResult, MemTable};
+use crate::iter::scan_range;
+use crate::memtable::MemTable;
 use crate::statistics::Statistics;
 use crate::types::SequenceNumber;
 use crate::version::table_cache::TableCache;
-use crate::version::version::{GetResult, Version};
+use crate::version::version::Version;
 use crate::version::{
     parse_file_name, wal_file_name, EditApplier, FileType, ManifestPoll, ManifestTailer,
 };
@@ -116,39 +127,22 @@ struct TailState {
     version_dirty: bool,
 }
 
-/// The immutable state one read operates on.
-struct ReplicaView {
-    version: Arc<Version>,
-    /// Newest segment first, mirroring the primary's mem → imm order.
-    mems: Vec<Arc<MemTable>>,
-    seq: SequenceNumber,
-}
-
-impl Clone for ReplicaView {
-    fn clone(&self) -> Self {
-        ReplicaView {
-            version: self.version.clone(),
-            mems: self.mems.clone(),
-            seq: self.seq,
-        }
-    }
-}
-
 /// A live read replica over a primary's database directory.
 ///
 /// See the [module docs](self) for the consistency model. Obtain one with
 /// [`ReplicaDb::open`]; reads are [`ReplicaDb::get`],
 /// [`ReplicaDb::multi_get`] and [`ReplicaDb::scan`].
 pub struct ReplicaDb {
-    env: Arc<dyn Env>,
+    /// The primary's read configuration: env, encryption, integrity and
+    /// the read budget the caches below were built from.
+    options: Options,
     path: String,
-    encryption: Option<EncryptionConfig>,
-    integrity: IntegrityOptions,
     opts: ReplicaOptions,
+    block_cache: Option<Arc<BlockCache>>,
     table_cache: Arc<TableCache>,
     stats: Arc<Statistics>,
     tail: Mutex<TailState>,
-    view: RwLock<ReplicaView>,
+    view: RwLock<Arc<ReadView>>,
     /// Mirror of the published view's sequence, for lock-free staleness.
     published_seq: AtomicU64,
     /// Highest sequence observed anywhere (WAL records parsed, manifest
@@ -163,49 +157,31 @@ pub struct ReplicaDb {
 }
 
 impl ReplicaDb {
-    /// Opens a replica over `path` with default integrity settings and
-    /// runs the first catch-up round (so the returned replica already
-    /// serves the primary's durable state).
-    pub fn open(
-        env: Arc<dyn Env>,
-        path: &str,
-        encryption: Option<EncryptionConfig>,
-        opts: ReplicaOptions,
-    ) -> Result<Arc<Self>> {
-        Self::open_with_integrity(env, path, encryption, IntegrityOptions::default(), opts)
-    }
-
-    /// [`ReplicaDb::open`] with explicit integrity settings: the MAC key
-    /// verifies authenticated plaintext files (SHIELD files always verify
-    /// with their own DEK's subkey).
-    pub fn open_with_integrity(
-        env: Arc<dyn Env>,
-        path: &str,
-        encryption: Option<EncryptionConfig>,
-        integrity: IntegrityOptions,
-        opts: ReplicaOptions,
-    ) -> Result<Arc<Self>> {
-        let stats = Statistics::new();
-        let table_cache = TableCache::new_with_stats(
-            env.clone(),
-            path.to_string(),
-            encryption.clone(),
-            None,
-            Some(stats.clone()),
-            128,
-            0,
-            crate::sst::fetcher::DEFAULT_INFLIGHT_READS,
-            integrity,
-            None,
-        );
-        let manifest = ManifestTailer::open(env.as_ref(), path, encryption.as_ref(), integrity.key)?
-            .with_sinks(Some(stats.clone()), None);
+    /// Opens a replica over `path` and runs the first catch-up round (so
+    /// the returned replica already serves the primary's durable state).
+    ///
+    /// `options` is the primary's read configuration — env, encryption
+    /// (with the replica's own DEK resolver in SHIELD mode), integrity
+    /// mode and key, and the read budget (`block_cache_bytes`,
+    /// `shared_block_cache`, `max_open_files`, `readahead_blocks`,
+    /// `max_inflight_reads`, …). The replica's counters land in
+    /// [`Options::statistics`]. Write-side settings are ignored.
+    pub fn open(options: Options, path: &str, opts: ReplicaOptions) -> Result<Arc<Self>> {
+        let stats = options.statistics.clone();
+        let (block_cache, table_cache) = open_read_side(&options, path, None)?;
+        let manifest = ManifestTailer::open(
+            options.env.as_ref(),
+            path,
+            options.encryption.as_ref(),
+            options.integrity_key,
+        )?
+        .with_sinks(Some(stats.clone()), None);
+        let empty = ReadView::new(table_cache.clone(), Arc::new(Version::new()), Vec::new(), 0);
         let replica = Arc::new(ReplicaDb {
-            env,
+            options,
             path: path.to_string(),
-            encryption,
-            integrity,
             opts,
+            block_cache,
             table_cache,
             stats,
             tail: Mutex::new(TailState {
@@ -214,11 +190,7 @@ impl ReplicaDb {
                 wals: Vec::new(),
                 version_dirty: true,
             }),
-            view: RwLock::new(ReplicaView {
-                version: Arc::new(Version::new()),
-                mems: Vec::new(),
-                seq: 0,
-            }),
+            view: RwLock::new(Arc::new(empty)),
             published_seq: AtomicU64::new(0),
             last_seen_seq: AtomicU64::new(0),
             fatal: Mutex::new(None),
@@ -288,10 +260,12 @@ impl ReplicaDb {
         let mut tail = self.tail.lock();
         let mut clean = true;
 
+        let env = self.options.env.as_ref();
+
         // 1. Manifest: fold new edits into the applier; a rollover resets
         // the file set for the new manifest's leading snapshot.
         loop {
-            match tail.manifest.poll(self.env.as_ref()) {
+            match tail.manifest.poll(env) {
                 Ok(ManifestPoll::Edit(edit)) => {
                     tail.applier.apply(&edit);
                     tail.version_dirty = true;
@@ -321,7 +295,7 @@ impl ReplicaDb {
         tail.wals.retain(|seg| seg.number >= log_number);
 
         // 3. Discover segments the primary created since the last round.
-        match self.env.list_dir(&self.path) {
+        match env.list_dir(&self.path) {
             Ok(names) => {
                 let mut numbers: Vec<u64> = names
                     .iter()
@@ -353,10 +327,10 @@ impl ReplicaDb {
             if seg.tailer.is_none() {
                 let wal_path = shield_env::join_path(&self.path, &wal_file_name(seg.number));
                 match open_wal_tailer(
-                    self.env.as_ref(),
+                    env,
                     &wal_path,
-                    self.encryption.as_ref(),
-                    self.integrity.key,
+                    self.options.encryption.as_ref(),
+                    self.options.integrity_key,
                 ) {
                     Ok(tailer) => {
                         seg.tailer =
@@ -438,17 +412,28 @@ impl ReplicaDb {
             .max(self.last_seen_seq.load(Ordering::Relaxed));
         self.last_seen_seq.store(seen, Ordering::Relaxed);
 
-        // 6. Publish the round's view; `seq` is monotonic.
+        // 6. Publish the round's view; `seq` is monotonic. Tables the
+        // new version dropped are deleted (or about to be) at the
+        // primary: close them.
         {
             let mut view = self.view.write();
-            if tail.version_dirty {
-                view.version = Arc::new(tail.applier.version());
+            let version = if tail.version_dirty {
                 tail.version_dirty = false;
-            }
-            view.mems =
-                tail.wals[..visible].iter().rev().map(|seg| seg.mem.clone()).collect();
-            view.seq = view.seq.max(served);
-            self.published_seq.store(view.seq, Ordering::Relaxed);
+                let next = Arc::new(tail.applier.version());
+                let live = next.live_files();
+                for number in view.version().live_files() {
+                    if !live.contains(&number) {
+                        self.table_cache.evict(number);
+                    }
+                }
+                next
+            } else {
+                view.version().clone()
+            };
+            let mems = tail.wals[..visible].iter().rev().map(|seg| seg.mem.clone()).collect();
+            let seq = view.sequence().max(served);
+            *view = Arc::new(ReadView::new(self.table_cache.clone(), version, mems, seq));
+            self.published_seq.store(seq, Ordering::Relaxed);
         }
 
         self.stats.replica_polls.fetch_add(1, Ordering::Relaxed);
@@ -511,73 +496,62 @@ impl ReplicaDb {
             .saturating_sub(self.published_seq.load(Ordering::Relaxed))
     }
 
-    /// This replica's ticker set (`replica_*` counters and gauges).
+    /// This replica's ticker set: `replica_*` counters and gauges, plus
+    /// the read side's block-cache and batched-read mirrors (refreshed on
+    /// each call).
     #[must_use]
     pub fn statistics(&self) -> Arc<Statistics> {
+        refresh_read_mirrors(&self.stats, self.options.env.as_ref(), self.block_cache.as_deref());
         self.stats.clone()
     }
 
     /// Point lookup against the published view.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.check_fresh()?;
-        let view = self.view.read().clone();
-        Self::get_in_view(&view, &self.table_cache, key)
+        self.read(|view| view.get(key, true))
     }
 
-    /// Batched point lookup; every key reads the same published view.
+    /// Batched point lookup through the batched read path; every key
+    /// reads the same published view.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.check_fresh()?;
-        let view = self.view.read().clone();
-        keys.iter().map(|key| Self::get_in_view(&view, &self.table_cache, key)).collect()
-    }
-
-    fn get_in_view(
-        view: &ReplicaView,
-        table_cache: &TableCache,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>> {
-        for mem in &view.mems {
-            match mem.get(key, view.seq) {
-                LookupResult::Found(value) => return Ok(Some(value)),
-                LookupResult::Deleted => return Ok(None),
-                LookupResult::NotFound => {}
-            }
-        }
-        match view.version.get(table_cache, key, view.seq)? {
-            GetResult::Found(value) => Ok(Some(value)),
-            GetResult::Deleted | GetResult::NotFound => Ok(None),
-        }
+        self.read(|view| view.multi_get(keys, true).into_iter().collect())
     }
 
     /// Range scan from `start` (inclusive), at most `limit` entries, over
     /// one published view.
     pub fn scan(&self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        use crate::iter::{InternalIterator, MergingIterator};
-        use crate::types::{extract_seq_type, extract_user_key, make_lookup_key, ValueType};
+        self.read(|view| scan_range(&mut view.iter()?, start, limit))
+    }
+
+    /// Runs `read` on the published view. If it fails with `NotFound` for
+    /// an SST the view names (the primary's GC ran ahead of this
+    /// replica), runs one catch-up round and retries on the fresh view —
+    /// unless that view still names the file.
+    fn read<T>(&self, read: impl Fn(&ReadView) -> Result<T>) -> Result<T> {
         self.check_fresh()?;
         let view = self.view.read().clone();
-        let mut children: Vec<Box<dyn InternalIterator>> =
-            view.mems.iter().map(|mem| Box::new(mem.iter()) as Box<dyn InternalIterator>).collect();
-        children.extend(view.version.iterators(&self.table_cache)?);
-        let mut merged = MergingIterator::new(children);
-        merged.seek(&make_lookup_key(start, view.seq));
-        let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut skip: Option<Vec<u8>> = None;
-        while merged.valid() && out.len() < limit {
-            let ikey = merged.key();
-            let user = extract_user_key(ikey).to_vec();
-            let (entry_seq, vtype) = extract_seq_type(ikey);
-            if entry_seq > view.seq || skip.as_deref() == Some(&user[..]) {
-                merged.next();
-                continue;
+        let err = match read(&view) {
+            Err(err) => err,
+            ok => return ok,
+        };
+        let missing = match &err {
+            Error::Io(shield_env::EnvError::NotFound(path)) => {
+                match parse_file_name(path.rsplit('/').next().unwrap_or(path)) {
+                    Some(FileType::Sst(number)) => number,
+                    _ => return Err(err),
+                }
             }
-            skip = Some(user.clone());
-            if vtype == Some(ValueType::Value) {
-                out.push((user, merged.value().to_vec()));
-            }
-            merged.next();
+            _ => return Err(err),
+        };
+        let names = |view: &ReadView| view.version().live_files().contains(&missing);
+        if !names(&view) {
+            return Err(err);
         }
-        Ok(out)
+        self.catch_up()?;
+        let fresh = self.view.read().clone();
+        if names(&fresh) {
+            return Err(err);
+        }
+        read(&fresh)
     }
 
     /// Replica health as one `shield_replica_metrics_v1` JSON object:

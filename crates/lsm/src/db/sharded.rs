@@ -41,7 +41,6 @@ use shield_env::{Env, FileKind};
 
 use crate::encryption::EncryptionConfig;
 
-use crate::cache::{BlockCache, CacheConfig};
 use crate::db::batch::WriteBatch;
 use crate::db::db::{Db, DbIterator, IntegrityReport, Snapshot};
 use crate::db::metrics::{LevelStats, MetricsReport, OP_TYPES};
@@ -49,7 +48,7 @@ use crate::db::options::{Options, ReadOptions, ShardBy, WriteOptions};
 use crate::db::pool::JobPool;
 use crate::error::{Error, Result};
 use crate::integrity::Integrity;
-use crate::iter::{ShardMergeIterator, UserIterator};
+use crate::iter::{scan_range, ShardMergeIterator, UserIterator};
 use crate::statistics::{Statistics, StatsSnapshot};
 use crate::types::ValueType;
 use crate::version::filenames::{parse_file_name, wal_file_name, FileType};
@@ -248,16 +247,7 @@ impl ShardedDb {
             .job_pool
             .clone()
             .unwrap_or_else(|| JobPool::new(opts.max_background_jobs));
-        let cache = match &opts.shared_block_cache {
-            Some(c) => Some(c.clone()),
-            None if opts.block_cache_bytes > 0 => Some(BlockCache::with_config(CacheConfig {
-                capacity: opts.block_cache_bytes,
-                strict_capacity: opts.block_cache_strict_capacity,
-                high_pri_pool_ratio: opts.high_pri_pool_ratio,
-                ..CacheConfig::default()
-            })?),
-            None => None,
-        };
+        let cache = opts.open_block_cache()?;
         let stats = opts.statistics.clone();
         let swal = Arc::new(SwalFile { state: Mutex::new(None) });
         let barrier: Arc<dyn Fn() -> Result<()> + Send + Sync> = {
@@ -547,7 +537,7 @@ impl ShardedDb {
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut it = self.iter(ropts)?;
-        Self::drain_scan(&mut it, start, limit)
+        scan_range(&mut it.merge, start, limit)
     }
 
     /// Range scan pinned to `snap`.
@@ -558,22 +548,7 @@ impl ShardedDb {
         limit: usize,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut it = self.iter_at(snap)?;
-        Self::drain_scan(&mut it, start, limit)
-    }
-
-    fn drain_scan(
-        it: &mut ShardedDbIterator,
-        start: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        it.seek(start);
-        let mut out = Vec::with_capacity(limit.min(1024));
-        while it.valid() && out.len() < limit {
-            out.push((it.key().to_vec(), it.value().to_vec()));
-            it.next();
-        }
-        it.status()?;
-        Ok(out)
+        scan_range(&mut it.merge, start, limit)
     }
 
     /// Checkpoint: rotates the SWAL, flushes every shard, and deletes

@@ -150,6 +150,25 @@ pub trait UserIterator {
     fn status(&self) -> Result<()>;
 }
 
+/// Range scan over any [`UserIterator`]: up to `limit` entries with
+/// key >= `start`. A read error mid-iteration leaves the iterator invalid
+/// with the error in its status; it is returned, so a partial result
+/// never passes as a complete one.
+pub fn scan_range<I: UserIterator + ?Sized>(
+    it: &mut I,
+    start: &[u8],
+    limit: usize,
+) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    it.seek(start);
+    let mut out = Vec::with_capacity(limit.min(1024));
+    while it.valid() && out.len() < limit {
+        out.push((it.key().to_vec(), it.value().to_vec()));
+        it.next();
+    }
+    it.status()?;
+    Ok(out)
+}
+
 /// Merges the user-level iterators of a [`crate::ShardedDb`]'s shards
 /// into one stream sorted by user key.
 ///

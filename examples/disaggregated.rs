@@ -1,8 +1,8 @@
 //! Disaggregated storage with a read-only instance (paper §2.2, §6.4).
 //!
 //! A primary LSM-KVS writes through a simulated intra-datacenter network
-//! to disaggregated storage; a read-only instance on another "compute
-//! node" opens the same files, resolves DEKs via the DEK-IDs in the file
+//! to disaggregated storage; a read replica on another "compute node"
+//! opens the same files, resolves DEKs via the DEK-IDs in the file
 //! metadata, and serves queries.
 //!
 //! ```sh
@@ -11,12 +11,10 @@
 
 use std::sync::Arc;
 
-use shield::deploy::{DisaggregatedStorage, ReadOnlyInstance};
-use shield::{open_shield, ShieldOptions, WriteOptions};
-use shield_crypto::Algorithm;
+use shield::deploy::DisaggregatedStorage;
+use shield::{open_shield, open_shield_replica, ReplicaOptions, ShieldOptions, WriteOptions};
 use shield_env::{Env, MemEnv, NetworkModel};
-use shield_kds::{DekResolver, Kds, KdsConfig, LocalKds, SecureDekCache, ServerId};
-use shield_lsm::encryption::EncryptionConfig;
+use shield_kds::{Kds, KdsConfig, LocalKds, ServerId};
 use shield_lsm::Options;
 
 fn main() {
@@ -43,30 +41,28 @@ fn main() {
     primary.flush().expect("flush");
     println!("primary wrote 5000 orders over the simulated network");
 
-    // A read-only instance on another compute node (server-3): it has its
-    // own KDS identity and secure cache, and learns DEKs purely from the
-    // DEK-IDs embedded in the shared files' metadata.
-    let reader_cache = SecureDekCache::open(ds.compute_mount(), "cluster/reader.cache", b"reader-pass")
-        .expect("reader cache");
-    let reader_resolver = Arc::new(DekResolver::new(
-        kds.clone() as Arc<dyn Kds>,
-        Some(Arc::new(reader_cache)),
-        ServerId(3),
-        Algorithm::Aes128Ctr,
-    ));
-    let reader_cfg = EncryptionConfig::new(reader_resolver.clone());
-    let reader = ReadOnlyInstance::open(ds.compute_mount(), "cluster/db", Some(reader_cfg))
-        .expect("open read-only instance");
+    // A read replica on another compute node (server-3): it has its own
+    // KDS identity and secure cache, and learns DEKs purely from the
+    // DEK-IDs embedded in the shared files' metadata. Without a poller it
+    // is a one-shot read-only instance; `catch_up()` refreshes it.
+    let reader = open_shield_replica(
+        ds.compute_mount(),
+        "cluster/db",
+        "cluster/reader.cache",
+        ShieldOptions::new(kds.clone() as Arc<dyn Kds>, ServerId(3), b"reader-pass"),
+        ReplicaOptions { auto_poll: false, ..ReplicaOptions::default() },
+    )
+    .expect("open read replica");
 
     let hit = reader.get(b"order:001234").expect("get").expect("present");
-    println!("read-only instance served order:001234 = {}", String::from_utf8_lossy(&hit));
+    println!("read replica served order:001234 = {}", String::from_utf8_lossy(&hit));
     let page = reader.scan(b"order:000100", 3).expect("scan");
-    println!("read-only scan:");
+    println!("replica scan:");
     for (k, v) in &page {
         println!("  {} = {}", String::from_utf8_lossy(k), String::from_utf8_lossy(v));
     }
 
-    let rs = reader_resolver.stats();
+    let rs = reader.resolver.stats();
     println!(
         "\nreader DEK traffic: {} KDS fetches, then {} secure-cache hits",
         rs.cache_misses, rs.cache_hits

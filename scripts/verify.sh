@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification tiers.
 #
-#   tier 1: cargo build --release && cargo test -q     (the seed gate)
+#   tier 1: cargo build --release && cargo test -q --workspace (every crate)
 #   tier 2: cargo test -q --test fault_injection       (torture matrix)
 #   tier 3: bench-smoke — crypto kernel perf-regression gate: batched
 #           AES-CTR must stay ≥2x (ChaCha20 ≥1.5x) the scalar reference
@@ -148,7 +148,7 @@ if [[ $quick -eq 0 ]]; then
 fi
 
 echo "== tier 1b: workspace tests =="
-cargo test -q
+cargo test -q --workspace
 
 echo "== tier 2: fault-injection torture matrix =="
 cargo test -q --test fault_injection

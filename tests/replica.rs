@@ -91,7 +91,8 @@ fn replica_tails_live_plain_primary() {
         db.put(&w, &k, &v).expect("put");
         model.insert(k, v);
     }
-    let replica = ReplicaDb::open(env.clone(), "db", None, manual()).expect("open replica");
+    let replica =
+        ReplicaDb::open(Options::new(env.clone()), "db", manual()).expect("open replica");
     assert_matches_model(&replica, &model, "initial open");
     assert_eq!(replica.staleness(), 0);
 
@@ -127,7 +128,7 @@ fn replica_auto_poll_catches_up() {
     db.put(&w, b"k-before", b"1").expect("put");
 
     let opts = ReplicaOptions { poll_interval: Duration::from_millis(1), ..Default::default() };
-    let replica = ReplicaDb::open(env, "db", None, opts).expect("open replica");
+    let replica = ReplicaDb::open(Options::new(env), "db", opts).expect("open replica");
     assert_eq!(replica.get(b"k-before").expect("get"), Some(b"1".to_vec()));
 
     db.put(&w, b"k-after", b"2").expect("put");
@@ -155,7 +156,7 @@ fn replica_follows_wal_switches_under_load() {
     let w = WriteOptions { sync: true };
     let mut model = BTreeMap::new();
 
-    let replica = ReplicaDb::open(env, "db", None, manual()).expect("open replica");
+    let replica = ReplicaDb::open(Options::new(env), "db", manual()).expect("open replica");
     for round in 0..12u16 {
         for id in 0..60u16 {
             let key = key_of(round.wrapping_mul(37).wrapping_add(id * 3));
@@ -192,7 +193,8 @@ fn replica_survives_primary_crash_mid_manifest_edit() {
         model.insert(k, v);
     }
     db.flush().expect("flush");
-    let replica = ReplicaDb::open(env.clone(), "db", None, manual()).expect("open replica");
+    let replica =
+        ReplicaDb::open(Options::new(env.clone()), "db", manual()).expect("open replica");
     assert_matches_model(&replica, &model, "pre-crash");
 
     // More committed writes, then a flush whose manifest append tears
@@ -249,7 +251,7 @@ fn replica_staleness_bound_trips_under_faults() {
 
     let fenv = Arc::new(FaultInjectionEnv::new(backing));
     let opts = ReplicaOptions { max_staleness: Some(0), ..manual() };
-    let replica = ReplicaDb::open(fenv.clone() as Arc<dyn Env>, "db", None, opts)
+    let replica = ReplicaDb::open(Options::new(fenv.clone() as Arc<dyn Env>), "db", opts)
         .expect("open replica");
     drain(&replica);
     assert_matches_model(&replica, &model, "before faults");
@@ -379,6 +381,140 @@ fn replica_shield_over_remote_env_end_to_end() {
     assert!(locked.is_err(), "revoked reader opened a fresh replica");
 }
 
+/// The primary's compaction deletes SSTs the replica's published view
+/// still names (the view is one poll behind). A read that hits the
+/// missing file catches up once and retries on the fresh view, so get,
+/// multi_get and scan all serve the primary's state, and the published
+/// sequence never moves backwards.
+fn replica_reads_survive_primary_gc(shield_mode: bool) {
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let kds = Arc::new(LocalKds::new(KdsConfig::default()));
+    let mut opts = Options::new(env.clone()).with_write_buffer_size(64 << 10);
+    opts.compaction.l0_compaction_trigger = 2;
+    let primary = if shield_mode {
+        open_shield(
+            opts,
+            "db",
+            ShieldOptions::new(kds.clone() as Arc<dyn Kds>, PRIMARY, b"primary-pass"),
+        )
+        .expect("open shield primary")
+        .db
+    } else {
+        Db::open(opts, "db").expect("open primary")
+    };
+    let w = WriteOptions { sync: true };
+    let key = |i: u32| format!("k{i:05}").into_bytes();
+    for i in 0..200 {
+        primary.put(&w, &key(i), b"v0").expect("put");
+    }
+    primary.flush().expect("flush");
+    let keys: Vec<Vec<u8>> = (0..200).map(key).collect();
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+
+    let mut round = 0u32;
+    // Each read runs on a fresh replica: one that has opened no table
+    // yet, so its first read must open a file the primary deleted.
+    for read in ["get", "multi_get", "scan"] {
+        let replica = if shield_mode {
+            open_shield_replica(
+                env.clone(),
+                "db",
+                &format!("reader-{read}.cache"),
+                ShieldOptions::new(kds.clone() as Arc<dyn Kds>, READER, b"reader-pass"),
+                manual(),
+            )
+            .expect("open shield replica")
+            .replica
+        } else {
+            ReplicaDb::open(Options::new(env.clone()), "db", manual()).expect("open replica")
+        };
+        replica.catch_up().expect("catch_up");
+        let before = replica.sequence();
+        for _ in 0..3 {
+            round += 1;
+            let value = format!("v{round}").into_bytes();
+            for i in 0..200 {
+                primary.put(&w, &key(i), &value).expect("overwrite");
+            }
+            primary.compact_all().expect("compact_all");
+        }
+        let value = Some(format!("v{round}").into_bytes());
+        match read {
+            "get" => assert_eq!(replica.get(b"k00007").expect("replica get"), value),
+            "multi_get" => {
+                let got = replica.multi_get(&refs).expect("replica multi_get");
+                assert!(got.iter().all(|v| *v == value), "multi_get served a stale view");
+            }
+            _ => {
+                let got = replica.scan(b"k", 1_000).expect("replica scan");
+                assert_eq!(got.len(), 200);
+                assert!(got.iter().all(|(_, v)| Some(v) == value.as_ref()));
+            }
+        }
+        assert!(replica.sequence() >= before, "published sequence moved backwards");
+        assert_eq!(replica.sequence(), primary.last_sequence());
+    }
+}
+
+#[test]
+fn replica_reads_survive_primary_gc_plain() {
+    replica_reads_survive_primary_gc(false);
+}
+
+#[test]
+fn replica_reads_survive_primary_gc_shield() {
+    replica_reads_survive_primary_gc(true);
+}
+
+/// A primary with `count` keys flushed to SSTs, and a replica mounting
+/// the same store through its own `RemoteEnv`.
+fn remote_replica(count: u32) -> (Db, Arc<RemoteEnv>, Arc<ReplicaDb>) {
+    let backing: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let db = Db::open(small_opts(backing.clone()), "db").expect("open primary");
+    let w = WriteOptions { sync: true };
+    for id in 0..count {
+        db.put(&w, format!("key-{id:04}").as_bytes(), &[b'v'; 100]).expect("put");
+    }
+    db.compact_all().expect("compact_all");
+    let mount = Arc::new(RemoteEnv::new(backing, NetworkModel::unlimited()));
+    let replica = ReplicaDb::open(Options::new(mount.clone()), "db", manual())
+        .expect("open replica");
+    (db, mount, replica)
+}
+
+/// Replica reads go through a block cache: a repeated get makes no
+/// reads on the replica's mount.
+#[test]
+fn replica_repeat_get_is_served_from_block_cache() {
+    let (_db, mount, replica) = remote_replica(400);
+    let io = mount.io_stats().expect("remote env keeps io stats");
+    let first = replica.get(b"key-0123").expect("first get");
+    assert_eq!(first, Some(vec![b'v'; 100]));
+    let before = io.snapshot();
+    assert_eq!(replica.get(b"key-0123").expect("second get"), first);
+    let reads: u64 = io.snapshot().delta_since(&before).read_ops.iter().sum();
+    assert_eq!(reads, 0, "a repeated replica get went to storage");
+    let hits = replica.statistics().block_cache_hits.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(hits > 0, "replica block cache never hit");
+}
+
+/// A cold replica multi_get takes the batched read path and returns
+/// exactly what serial replica gets return.
+#[test]
+fn replica_cold_multi_get_is_batched_and_matches_gets() {
+    let (_db, _mount, replica) = remote_replica(400);
+    let keys: Vec<Vec<u8>> =
+        (0..64u32).map(|i| format!("key-{:04}", i * 6).into_bytes()).collect();
+    let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+    let batched = replica.multi_get(&refs).expect("replica multi_get");
+    let batches = replica.statistics().batched_reads.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(batches > 0, "cold replica multi_get never reached the batched read path");
+    let serial: Vec<Option<Vec<u8>>> =
+        refs.iter().map(|k| replica.get(k).expect("replica get")).collect();
+    assert_eq!(batched, serial);
+    assert!(serial.iter().all(Option::is_some));
+}
+
 /// One encryption mode's way of wiring a primary + replica pair over a
 /// shared MemEnv.
 enum Mode {
@@ -470,14 +606,16 @@ fn run_differential(mode: &Mode, actions: &[Action]) {
     }
     let replica = match mode {
         Mode::Plain => Replica::Direct(
-            ReplicaDb::open(backing.clone(), "db", None, manual()).expect("open replica"),
+            ReplicaDb::open(Options::new(backing.clone()), "db", manual()).expect("open replica"),
         ),
         Mode::EncFs => {
             // Instance-level encryption sits below the engine: the
             // replica mounts through its own EncryptedEnv with the same
             // instance DEK.
             let env: Arc<dyn Env> = Arc::new(EncryptedEnv::new(backing.clone(), dek, 0));
-            Replica::Direct(ReplicaDb::open(env, "db", None, manual()).expect("open replica"))
+            Replica::Direct(
+                ReplicaDb::open(Options::new(env), "db", manual()).expect("open replica"),
+            )
         }
         Mode::Shield => Replica::Shield(
             open_shield_replica(
