@@ -10,8 +10,9 @@
 //! two batched-read behaviors directly measurable:
 //!
 //! - **multi_get.** 64 serial cold gets pay ~64 RTTs; `multi_get`
-//!   partitions the batch per file and issues one bounded-depth
-//!   `read_at_many` per file, paying ~one RTT per submission window.
+//!   resolves the batch in waves, each reading every unresolved key's
+//!   next block across all files at once, in per-file `read_at_many`
+//!   windows bounded by `max_inflight_reads` over the whole wave.
 //!   The full run gates on a ≥ 4x speedup in SHIELD mode.
 //! - **Readahead over the concurrent env.** Scan prefetch RTTs now
 //!   overlap instead of queueing on one serialized pipe, so the

@@ -373,10 +373,11 @@ impl Db {
     /// Batched point lookup: one result slot per key, each equivalent to
     /// [`Db::get`] at the same snapshot. Memtables are probed per key
     /// (they are in memory anyway); keys that miss are resolved against
-    /// the current version with per-file batched block reads, so a cold
-    /// batch pays one `read_at_many` submission per table instead of one
-    /// file read per key. Errors are per-slot: a fault on one key's block
-    /// never corrupts its neighbors.
+    /// the current version in waves, each wave reading every unresolved
+    /// key's next block across all files at once, so a cold batch pays a
+    /// round trip per wave instead of one per key or per file, and reads
+    /// exactly the blocks the serial gets would. Errors are per-slot: a
+    /// fault on one key's block never corrupts its neighbors.
     pub fn multi_get(&self, ropts: &ReadOptions, keys: &[&[u8]]) -> Vec<Result<Option<Vec<u8>>>> {
         let _trace = self.inner.traced_op("multi_get");
         let op_start = std::time::Instant::now();

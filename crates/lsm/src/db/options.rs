@@ -66,9 +66,10 @@ pub struct Options {
     /// Data blocks iterators prefetch ahead of the read position
     /// (0 disables readahead). Compaction inherits the same depth.
     pub readahead_blocks: usize,
-    /// Upper bound on concurrently in-flight block reads per batched
-    /// read submission ([`crate::Db::multi_get`], block prefetch) —
-    /// the depth of the env's `read_at_many` queue. Clamped to ≥ 1.
+    /// Upper bound on the block reads one batched lookup
+    /// ([`crate::Db::multi_get`]) has in flight at once, across every
+    /// file of a wave — the depth of the env's `read_at_many` queue.
+    /// Clamped to ≥ 1.
     pub max_inflight_reads: usize,
     /// Max open table readers.
     pub max_open_files: usize,
@@ -321,7 +322,7 @@ impl Options {
         self
     }
 
-    /// Bounds concurrently in-flight block reads per batched submission
+    /// Bounds the block reads a batched lookup has in flight at once
     /// (clamped to ≥ 1).
     #[must_use]
     pub fn with_max_inflight_reads(mut self, depth: usize) -> Self {

@@ -131,8 +131,9 @@ impl ReadView {
 
     /// Batched point lookup: one result per key, each equal to
     /// [`ReadView::get`]. Memtables are probed per key; the misses go to
-    /// [`Version::multi_get_opt`], which groups them by file so a cold
-    /// batch pays one batched read submission per table. Errors are
+    /// [`Version::multi_get_opt`], which fetches every unresolved key's
+    /// next block, across all files and levels, in one wave, so a cold
+    /// batch pays a round trip per wave rather than per file. Errors are
     /// per slot.
     pub fn multi_get(&self, keys: &[&[u8]], fill_cache: bool) -> Vec<Result<Option<Vec<u8>>>> {
         let t = perf::timer();

@@ -23,10 +23,10 @@
 //!   the same credit, so usefulness accounting survives the race between
 //!   the iterator and the worker.
 //! - **Batched reads.** [`BlockFetcher::get_many`] partitions a batch of
-//!   wanted blocks into cache hits, joinable in-flight reads, and leader
-//!   reads; the leader reads are submitted as `read_at_many` windows of
-//!   at most the configured in-flight depth, and each completed window
-//!   is verified while the next window's payload is still in flight.
+//!   wanted blocks, possibly from several tables, into cache hits,
+//!   joinable in-flight reads, and leader reads; the leader reads go out
+//!   as per-file `read_at_many` windows that are all in flight at once,
+//!   in rounds of at most the configured in-flight depth.
 //!
 //! Decryption itself stays in [`crate::encryption`]'s file wrapper: a
 //! fetch against an encrypted table reads through
@@ -34,13 +34,14 @@
 //! keystream work too.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::Bytes;
 use shield_core::{perf, trace, PerfCounter, PerfMetric};
 use shield_crypto::{crc32c, crc32c_extend, crc32c_unmask};
-use shield_env::{RandomAccessFile, ReadQueue, ReadRequest};
+use shield_env::{EnvResult, RandomAccessFile, ReadQueue, ReadRequest};
 
 use crate::cache::{BlockCache, BlockKind, CacheHandle, CacheKey};
 use crate::error::{Error, Result};
@@ -129,9 +130,16 @@ struct PrefetchPool {
     shutdown: AtomicBool,
 }
 
-/// One block wanted by a batched fetch ([`BlockFetcher::get_many`]).
-#[derive(Clone, Copy, Debug)]
-pub struct BlockRequest {
+/// One block wanted by a batched fetch ([`BlockFetcher::get_many`]),
+/// with the table it belongs to: one batch may span several tables.
+#[derive(Clone, Copy)]
+pub struct BlockRequest<'a> {
+    /// The table's (decryption-wrapped) file.
+    pub file: &'a Arc<dyn RandomAccessFile>,
+    /// The table's block-cache id.
+    pub table_id: u64,
+    /// The table's verification context (`Some` exactly for v2 tables).
+    pub integrity: Option<&'a IntegrityCtx>,
     /// Where the block lives in the file.
     pub handle: BlockHandle,
     /// What kind of block it is (sets cache priority and parse mode).
@@ -233,26 +241,25 @@ impl BlockFetcher {
         self.core.fetch_miss(file, key, handle, kind, fill_cache, false, integrity)
     }
 
-    /// Fetches a batch of blocks from one table file, returning one
-    /// result per request in request order.
+    /// Fetches a batch of blocks, possibly from several tables, returning
+    /// one result per request in request order.
     ///
     /// The batch is partitioned three ways: cache hits are served
     /// immediately, misses another thread is already reading are joined
-    /// (single-flight), and the remaining leader reads are submitted as
-    /// `read_at_many` windows of at most [`Self::inflight_depth`]
-    /// requests. While a window's payload is still in flight (a single
-    /// round trip on a remote env), the previous window's blocks are
-    /// MAC-verified, CRC-checked, and admitted to the cache — verify
-    /// overlaps transfer. Every slot fails independently: a hostile
-    /// handle, an injected fault, or a corrupt block errors its own
-    /// result and never poisons a neighbor.
+    /// (single-flight), and the remaining leader reads are grouped per
+    /// file into `read_at_many` windows. All windows are in flight at
+    /// once, up to [`Self::inflight_depth`] reads across the whole batch
+    /// (reads beyond it go out in further rounds): a cold batch over many
+    /// files costs one round trip, not one per file. The coordinator
+    /// submits one window itself and the rest from scoped threads, then
+    /// joins them in order, MAC-verifying, CRC-checking, and admitting
+    /// each window's blocks on the calling thread. Every slot fails independently: a hostile handle, an
+    /// injected fault, or a corrupt block errors its own result and never
+    /// poisons a neighbor.
     pub fn get_many(
         &self,
-        file: &Arc<dyn RandomAccessFile>,
-        table_id: u64,
-        requests: &[BlockRequest],
+        requests: &[BlockRequest<'_>],
         fill_cache: bool,
-        integrity: Option<&IntegrityCtx>,
     ) -> Vec<Result<FetchedBlock>> {
         let mut batch_span = trace::span("fetch_batch");
         batch_span.attr("requests", requests.len() as u64);
@@ -265,7 +272,7 @@ impl BlockFetcher {
             if fill_cache {
                 if let Some(cache) = &self.core.cache {
                     let t = perf::timer();
-                    let cached = cache.lookup(&(table_id, req.handle.offset), req.kind);
+                    let cached = cache.lookup(&(req.table_id, req.handle.offset), req.kind);
                     perf::add_elapsed(PerfMetric::CacheLookup, t);
                     if let Some(h) = cached {
                         out[i] = Some(Ok(FetchedBlock::Cached(h)));
@@ -286,7 +293,7 @@ impl BlockFetcher {
         match lock_inflight(&self.core.inflight) {
             Ok(mut map) => {
                 for &i in &misses {
-                    let key = (table_id, requests[i].handle.offset);
+                    let key = (requests[i].table_id, requests[i].handle.offset);
                     match map.get(&key) {
                         Some(f) => joiners.push((i, f.clone())),
                         None => {
@@ -309,108 +316,23 @@ impl BlockFetcher {
         // I/O; the survivors become the windowed leader reads.
         let mut ready: Vec<(usize, Arc<Flight>, ReadRequest)> = Vec::new();
         for (i, flight) in leaders {
-            let req = requests[i];
-            match batch_read_plan(req.handle, integrity) {
+            let req = &requests[i];
+            match batch_read_plan(req.handle, req.integrity) {
                 Ok(plan) => ready.push((i, flight, plan)),
                 Err(e) => {
-                    self.core.publish((table_id, req.handle.offset), &flight, Err(e.clone()));
+                    self.core.publish((req.table_id, req.handle.offset), &flight, Err(e.clone()));
                     out[i] = Some(Err(e));
                 }
             }
         }
         if !ready.is_empty() {
-            let queue = ReadQueue::new(self.inflight_depth);
-            let read_reqs: Vec<ReadRequest> = ready.iter().map(|r| r.2).collect();
-            let windows: Vec<std::ops::Range<usize>> = (0..ready.len())
-                .step_by(queue.depth())
-                .map(|start| start..(start + queue.depth()).min(ready.len()))
-                .collect();
+            let windows = self.read_leaders(requests, &ready, fill_cache, &mut out);
             if let Some(cache) = &self.core.cache {
                 let c = cache.counters();
-                c.batched_reads.fetch_add(windows.len() as u64, Ordering::Relaxed);
+                c.batched_reads.fetch_add(windows as u64, Ordering::Relaxed);
                 c.batch_read_requests.fetch_add(ready.len() as u64, Ordering::Relaxed);
             }
-            batch_span.attr("windows", windows.len() as u64);
-            std::thread::scope(|s| {
-                let spawn_window = |range: std::ops::Range<usize>| {
-                    let file = file.clone();
-                    let queue = &queue;
-                    let reqs = &read_reqs;
-                    s.spawn(move || queue.submit_window(file.as_ref(), &reqs[range]))
-                };
-                let mut widx = 0;
-                let mut inflight = spawn_window(windows[0].clone());
-                loop {
-                    // Kick off the next window before verifying this one:
-                    // its transfer rides concurrently with our MAC/CRC
-                    // work below.
-                    let next = (widx + 1 < windows.len())
-                        .then(|| spawn_window(windows[widx + 1].clone()));
-                    // The window span lives on this (coordinator) thread,
-                    // not the worker: joins are sequential here, so the
-                    // per-window durations always sum to at most the op's
-                    // wall time, and it needs no cross-thread context.
-                    let raws: Vec<crate::error::Result<Bytes>> = {
-                        let mut span = trace::span("read_window");
-                        span.attr("blocks", (windows[widx].end - windows[widx].start) as u64);
-                        let t = perf::timer();
-                        let raws = match inflight.join() {
-                            Ok(r) => r.into_iter().map(|x| x.map_err(Error::from)).collect(),
-                            Err(_) => windows[widx]
-                                .clone()
-                                .map(|_| {
-                                    Err(Error::Corruption("batch read worker panicked".into()))
-                                })
-                                .collect(),
-                        };
-                        perf::add_elapsed(PerfMetric::IoBatchWait, t);
-                        raws
-                    };
-                    let mut vspan = trace::span("verify_window");
-                    vspan.attr("blocks", (windows[widx].end - windows[widx].start) as u64);
-                    for (slot, raw) in windows[widx].clone().zip(raws) {
-                        let (i, flight, _) = &ready[slot];
-                        let req = requests[*i];
-                        let key = (table_id, req.handle.offset);
-                        perf::incr(PerfCounter::BlocksRead, 1);
-                        let result = raw
-                            .and_then(|bytes| split_verified(&bytes, req.handle, integrity))
-                            .map(|contents| {
-                                Arc::new(match req.kind {
-                                    BlockKind::Filter => Block::from_raw_opaque(contents),
-                                    BlockKind::Data | BlockKind::Index => {
-                                        Block::from_raw(contents)
-                                    }
-                                })
-                            });
-                        let outcome = match &result {
-                            Ok(block) => {
-                                let admitted = if fill_cache {
-                                    self.core.cache.as_ref().and_then(|c| {
-                                        c.insert(key, block, block.size(), req.kind, false)
-                                    })
-                                } else {
-                                    None
-                                };
-                                Ok(match admitted {
-                                    Some(h) => FetchedBlock::Cached(h),
-                                    None => FetchedBlock::Uncached(block.clone()),
-                                })
-                            }
-                            Err(e) => Err(e.clone()),
-                        };
-                        self.core.publish(key, flight, result);
-                        out[*i] = Some(outcome);
-                    }
-                    match next {
-                        Some(h) => {
-                            widx += 1;
-                            inflight = h;
-                        }
-                        None => break,
-                    }
-                }
-            });
+            batch_span.attr("windows", windows as u64);
         }
 
         // Phase 4: collect the joined flights (all our own leaders have
@@ -419,6 +341,80 @@ impl BlockFetcher {
             out[i] = Some(self.core.join_flight(&flight, false).map(FetchedBlock::Uncached));
         }
         out.into_iter().map(|o| o.expect("every batch slot resolved")).collect()
+    }
+
+    /// Reads, verifies, admits and publishes [`Self::get_many`]'s leader
+    /// reads, filling their `out` slots; returns the number of windows.
+    ///
+    /// The reads go out in rounds of at most [`Self::inflight_depth`],
+    /// each round one `read_at_many` window per file, all in flight
+    /// together. The window spans live on this (coordinator) thread,
+    /// around its own submission or a join: they are sequential here, so
+    /// their durations always sum to at most the op's wall time, and they
+    /// need no cross-thread context.
+    fn read_leaders(
+        &self,
+        requests: &[BlockRequest<'_>],
+        ready: &[(usize, Arc<Flight>, ReadRequest)],
+        fill_cache: bool,
+        out: &mut [Option<Result<FetchedBlock>>],
+    ) -> usize {
+        let table_of = |r: usize| requests[ready[r].0].table_id;
+        // Leader reads grouped by file (a stable sort keeps each file's
+        // reads in request order).
+        let mut order: Vec<usize> = (0..ready.len()).collect();
+        order.sort_by_key(|&r| table_of(r));
+        let window_reads = |range: &Range<usize>| {
+            let file = requests[ready[order[range.start]].0].file.clone();
+            let reads: Vec<ReadRequest> =
+                order[range.clone()].iter().map(|&r| ready[r].2).collect();
+            (file, reads)
+        };
+        let mut verify = |range: Range<usize>, raws: Vec<Result<Bytes>>| {
+            let mut span = trace::span("verify_window");
+            span.attr("blocks", range.len() as u64);
+            for (&r, raw) in order[range].iter().zip(raws) {
+                let (i, flight, _) = &ready[r];
+                let req = &requests[*i];
+                out[*i] = Some(self.core.admit_read(req, flight, raw, fill_cache, false));
+            }
+        };
+
+        let queue = ReadQueue::new(self.inflight_depth);
+        let mut windows = 0;
+        let mut next = 0; // first position of `order` not yet read
+        while next < order.len() {
+            let round_end = (next + queue.depth()).min(order.len());
+            let mut round: Vec<Range<usize>> = Vec::new();
+            while next < round_end {
+                let table = table_of(order[next]);
+                let same_file = |&&r: &&usize| table_of(r) == table;
+                let len = order[next..round_end].iter().take_while(same_file).count();
+                round.push(next..next + len);
+                next += len;
+            }
+            windows += round.len();
+            std::thread::scope(|s| {
+                // The coordinator submits one window itself rather than
+                // idling while the others are in flight.
+                let own = round.pop().expect("a round holds at least one window");
+                let spawned: Vec<_> = round
+                    .into_iter()
+                    .map(|range| {
+                        let (file, reads) = window_reads(&range);
+                        let queue = &queue;
+                        (range, s.spawn(move || queue.submit_window(file.as_ref(), &reads)))
+                    })
+                    .collect();
+                let (file, reads) = window_reads(&own);
+                let submit = || Ok(queue.submit_window(file.as_ref(), &reads));
+                verify(own.clone(), wait_window(own.len(), submit));
+                for (range, handle) in spawned {
+                    verify(range.clone(), wait_window(range.len(), || handle.join()));
+                }
+            });
+        }
+        windows
     }
 
     /// Queues background prefetch of `handle` if it is not already
@@ -514,22 +510,46 @@ impl FetcherCore {
                 cache.counters().readahead_issued.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let result = {
-            let mut span = trace::span("read_block");
-            span.attr("offset", handle.offset);
-            span.attr("len", handle.size);
-            read_block(file.as_ref(), handle, kind, integrity)
-        };
-        let out = match &result {
+        let mut span = trace::span("read_block");
+        span.attr("offset", handle.offset);
+        span.attr("len", handle.size);
+        let raw = batch_read_plan(handle, integrity)
+            .and_then(|plan| Ok(file.read_at(plan.offset, plan.len)?));
+        // Skip the cache entry's `prefetched` flag if a joiner already
+        // claimed this prefetch as useful — otherwise the first hit would
+        // credit it a second time.
+        let flag = prefetched && !flight.useful_claimed.load(Ordering::Relaxed);
+        let req = BlockRequest { file, table_id: key.0, integrity, handle, kind };
+        self.admit_read(&req, &flight, raw, fill_cache, flag)
+    }
+
+    /// Verifies a leader's read of `req`, admits the block to the cache
+    /// (`prefetched` flags the entry so its first hit credits readahead),
+    /// and publishes it to the flight's joiners.
+    fn admit_read(
+        &self,
+        req: &BlockRequest<'_>,
+        flight: &Arc<Flight>,
+        raw: Result<Bytes>,
+        fill_cache: bool,
+        prefetched: bool,
+    ) -> Result<FetchedBlock> {
+        let key = (req.table_id, req.handle.offset);
+        perf::incr(PerfCounter::BlocksRead, 1);
+        let result = raw
+            .and_then(|bytes| split_verified(&bytes, req.handle, req.integrity))
+            .map(|contents| {
+                Arc::new(match req.kind {
+                    BlockKind::Filter => Block::from_raw_opaque(contents),
+                    BlockKind::Data | BlockKind::Index => Block::from_raw(contents),
+                })
+            });
+        let outcome = match &result {
             Ok(block) => {
                 let admitted = if fill_cache {
-                    // Skip the cache entry's `prefetched` flag if a joiner
-                    // already claimed this prefetch as useful — otherwise
-                    // the first hit would credit it a second time.
-                    let flag = prefetched && !flight.useful_claimed.load(Ordering::Relaxed);
                     self.cache
                         .as_ref()
-                        .and_then(|cache| cache.insert(key, block, block.size(), kind, flag))
+                        .and_then(|c| c.insert(key, block, block.size(), req.kind, prefetched))
                 } else {
                     None
                 };
@@ -540,8 +560,8 @@ impl FetcherCore {
             }
             Err(e) => Err(e.clone()),
         };
-        self.publish(key, &flight, result);
-        out
+        self.publish(key, flight, result);
+        outcome
     }
 
     /// Waits on another thread's in-flight read and shares its result.
@@ -638,19 +658,25 @@ fn prefetch_worker(pool: &PrefetchPool, core: &FetcherCore) {
     }
 }
 
-/// Reads `handle`'s bytes, verifies the trailer, and parses the block
-/// (opaque wrapping for filter payloads, which are not in entry format).
-fn read_block(
-    file: &dyn RandomAccessFile,
-    handle: BlockHandle,
-    kind: BlockKind,
-    integrity: Option<&IntegrityCtx>,
-) -> Result<Arc<Block>> {
-    let raw = read_verified(file, handle, integrity)?;
-    Ok(Arc::new(match kind {
-        BlockKind::Filter => Block::from_raw_opaque(raw),
-        BlockKind::Data | BlockKind::Index => Block::from_raw(raw),
-    }))
+/// Waits for one batched window (`wait`: the coordinator's own submission
+/// or a worker's join) under a `read_window` span and the `IoBatchWait`
+/// timer. A panicked worker fails each of the window's `blocks` slots.
+fn wait_window(
+    blocks: usize,
+    wait: impl FnOnce() -> std::thread::Result<Vec<EnvResult<Bytes>>>,
+) -> Vec<Result<Bytes>> {
+    let mut span = trace::span("read_window");
+    span.attr("blocks", blocks as u64);
+    let t = perf::timer();
+    let raws = match wait() {
+        Ok(raws) => raws.into_iter().map(|x| x.map_err(Error::from)).collect(),
+        Err(_) => {
+            let err = Error::Corruption("batch read worker panicked".into());
+            (0..blocks).map(|_| Err(err.clone())).collect()
+        }
+    };
+    perf::add_elapsed(PerfMetric::IoBatchWait, t);
+    raws
 }
 
 /// Reads a block's contents and verifies its trailer. This is the one
@@ -857,6 +883,11 @@ mod tests {
         out
     }
 
+    /// A batched data-block request against table 1 of `file`.
+    fn data_request(file: &Arc<dyn RandomAccessFile>, handle: BlockHandle) -> BlockRequest<'_> {
+        BlockRequest { file, table_id: 1, integrity: None, handle, kind: BlockKind::Data }
+    }
+
     #[test]
     fn get_many_matches_serial_fetches_and_batches_io() {
         let env = MemEnv::new();
@@ -882,9 +913,9 @@ mod tests {
         let cache = BlockCache::new(1 << 20);
         let fetcher = BlockFetcher::with_depth(Some(cache.clone()), 0, 3);
         let reqs: Vec<BlockRequest> =
-            handles.iter().map(|h| BlockRequest { handle: *h, kind: BlockKind::Data }).collect();
+            handles.iter().map(|h| data_request(&file, *h)).collect();
         let before = env.io_stats().unwrap().snapshot();
-        let got = fetcher.get_many(&file, 1, &reqs, true, None);
+        let got = fetcher.get_many(&reqs, true);
         let delta = env.io_stats().unwrap().snapshot().delta_since(&before);
         for (g, e) in got.iter().zip(expected.iter()) {
             assert_eq!(g.as_ref().unwrap().block().raw_bytes(), e);
@@ -898,12 +929,77 @@ mod tests {
 
         // Second batch: all cache hits, no new I/O.
         let before = env.io_stats().unwrap().snapshot();
-        let again = fetcher.get_many(&file, 1, &reqs, true, None);
+        let again = fetcher.get_many(&reqs, true);
         for (g, e) in again.iter().zip(expected.iter()) {
             assert_eq!(g.as_ref().unwrap().block().raw_bytes(), e);
         }
         let delta = env.io_stats().unwrap().snapshot().delta_since(&before);
         assert_eq!(delta.read_ops[FileKind::Sst.index()], 0, "hits must not re-read");
+    }
+
+    #[test]
+    fn get_many_spans_tables_within_one_inflight_bound() {
+        use std::sync::atomic::AtomicUsize;
+
+        /// Counts the reads in flight across every file sharing `open`.
+        struct CountingFile {
+            inner: Arc<dyn RandomAccessFile>,
+            open: Arc<AtomicUsize>,
+            peak: Arc<AtomicUsize>,
+        }
+        impl RandomAccessFile for CountingFile {
+            fn read_at(&self, offset: u64, len: usize) -> shield_env::EnvResult<Bytes> {
+                self.inner.read_at(offset, len)
+            }
+            fn len(&self) -> shield_env::EnvResult<u64> {
+                self.inner.len()
+            }
+            fn read_at_many(&self, reqs: &[ReadRequest]) -> Vec<shield_env::EnvResult<Bytes>> {
+                let now = self.open.fetch_add(reqs.len(), Ordering::SeqCst) + reqs.len();
+                self.peak.fetch_max(now, Ordering::SeqCst);
+                // Stay open long enough for a window that broke the
+                // bound to overlap this one.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                let out = self.inner.read_at_many(reqs);
+                self.open.fetch_sub(reqs.len(), Ordering::SeqCst);
+                out
+            }
+        }
+
+        let env = MemEnv::new();
+        let (open, peak) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let mut files: Vec<(Arc<dyn RandomAccessFile>, Vec<BlockHandle>)> = Vec::new();
+        for path in ["a.sst", "b.sst"] {
+            build_sst(&env, path, 400);
+            let handles = all_data_handles(&env, path);
+            let inner = env.new_random_access_file(path, FileKind::Sst).unwrap();
+            let file: Arc<dyn RandomAccessFile> =
+                Arc::new(CountingFile { inner, open: open.clone(), peak: peak.clone() });
+            files.push((file, handles[..5].to_vec()));
+        }
+        let reqs: Vec<BlockRequest<'_>> = files
+            .iter()
+            .enumerate()
+            .flat_map(|(t, (file, handles))| {
+                handles.iter().map(move |&handle| BlockRequest {
+                    file,
+                    table_id: t as u64,
+                    integrity: None,
+                    handle,
+                    kind: BlockKind::Data,
+                })
+            })
+            .collect();
+        let cache = BlockCache::new(1 << 20);
+        let fetcher = BlockFetcher::with_depth(Some(cache.clone()), 0, 3);
+        let got = fetcher.get_many(&reqs, true);
+        for (req, g) in reqs.iter().zip(&got) {
+            let expect = read_verified(req.file.as_ref(), req.handle, None).unwrap();
+            assert_eq!(g.as_ref().unwrap().block().raw_bytes(), &expect);
+        }
+        assert_eq!(cache.stats().batch_read_requests, 10);
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak <= 3, "{peak} reads in flight under a depth of 3");
     }
 
     #[test]
@@ -913,9 +1009,9 @@ mod tests {
         let file = env.new_random_access_file("t.sst", FileKind::Sst).unwrap();
         let cache = BlockCache::new(1 << 20);
         let fetcher = BlockFetcher::new(Some(cache.clone()), 0);
-        let reqs = [BlockRequest { handle, kind: BlockKind::Data }; 4];
+        let reqs = [data_request(&file, handle); 4];
         let before = env.io_stats().unwrap().snapshot();
-        let got = fetcher.get_many(&file, 1, &reqs, true, None);
+        let got = fetcher.get_many(&reqs, true);
         let delta = env.io_stats().unwrap().snapshot().delta_since(&before);
         let first = got[0].as_ref().unwrap().block().raw_bytes().clone();
         for g in &got {
@@ -937,13 +1033,10 @@ mod tests {
         // The hostile slot needs its own offset: cache/single-flight keys
         // are (table, offset), so offset 0 would alias the good block.
         let reqs = [
-            BlockRequest { handle, kind: BlockKind::Data },
-            BlockRequest {
-                handle: BlockHandle { offset: 1 << 40, size: u64::MAX - 4 },
-                kind: BlockKind::Data,
-            },
+            data_request(&file, handle),
+            data_request(&file, BlockHandle { offset: 1 << 40, size: u64::MAX - 4 }),
         ];
-        let got = fetcher.get_many(&file, 1, &reqs, true, None);
+        let got = fetcher.get_many(&reqs, true);
         assert!(got[0].is_ok(), "good slot poisoned by hostile neighbor");
         assert!(matches!(got[1], Err(Error::Corruption(_))));
     }

@@ -29,4 +29,5 @@ pub use builder::TableBuilder;
 pub use fetcher::{BlockFetcher, BlockRequest, FetchedBlock};
 pub use filter::{BloomFilterBuilder, BloomFilterReader};
 pub use format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, TABLE_MAGIC};
+pub(crate) use reader::{BlockStep, Probe};
 pub use reader::{Table, TableIterator};

@@ -15,15 +15,35 @@ use crate::cache::{BlockCache, BlockKind};
 use crate::error::{Error, Result};
 use crate::integrity::{IntegrityCtx, ReadIntegrity};
 use crate::iter::InternalIterator;
-use crate::sst::block::BlockIter;
-use crate::sst::fetcher::{read_verified, BlockFetcher, FetchedBlock};
+use crate::sst::block::{Block, BlockIter};
+use crate::sst::fetcher::{read_verified, BlockFetcher, BlockRequest, FetchedBlock};
 use crate::sst::filter::BloomFilterReader;
 use crate::sst::format::{BlockHandle, Footer, TableProperties, FOOTER_LEN, FOOTER_V2_LEN};
 use crate::types::{extract_user_key, make_lookup_key, SequenceNumber};
 
-/// One resolved point lookup: the matching `(internal_key, value)` entry
-/// if the table holds one visible at the queried sequence.
-pub type LookupResult = Result<Option<(Vec<u8>, Vec<u8>)>>;
+/// Where a point lookup in one table goes next: the step shared by
+/// [`Table::get_opt`] and the batched lookup waves of
+/// [`crate::version::Version::multi_get_opt`].
+#[derive(Debug)]
+pub(crate) enum Probe {
+    /// The table holds no entry for the key visible at the lookup's
+    /// sequence.
+    Absent,
+    /// Fetch this data block, then hand it to [`Table::resolve`].
+    Read(BlockStep),
+    /// The newest visible entry: `(internal_key, value)`.
+    Found(Vec<u8>, Vec<u8>),
+}
+
+/// A data block a lookup must read next.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BlockStep {
+    /// Where the block lives in the file.
+    pub(crate) handle: BlockHandle,
+    /// True for the between-blocks fallback: the block after the one the
+    /// index seek named. A lookup reads at most these two blocks per table.
+    fallback: bool,
+}
 
 /// An open, immutable table file.
 pub struct Table {
@@ -194,132 +214,83 @@ impl Table {
         seq: SequenceNumber,
         fill_cache: bool,
     ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        let lookup = make_lookup_key(user_key, seq);
+        let mut probe = self.plan(&lookup)?;
+        loop {
+            probe = match probe {
+                Probe::Absent => return Ok(None),
+                Probe::Found(ikey, value) => return Ok(Some((ikey, value))),
+                Probe::Read(step) => {
+                    let block = self.data_block(step.handle, fill_cache)?;
+                    self.resolve(block.block(), &lookup, step)?
+                }
+            };
+        }
+    }
+
+    /// The I/O-free first half of a point lookup for the internal
+    /// `lookup` key (see [`make_lookup_key`]): the bloom check and the
+    /// index seek. Returns [`Probe::Absent`] or the data block to read
+    /// next; [`Table::resolve`] finishes the lookup once that block is
+    /// fetched. Bloom negatives are credited to `bloom_useful`.
+    pub(crate) fn plan(&self, lookup: &[u8]) -> Result<Probe> {
         if let Some((_, filter)) = &self.filter {
             perf::incr(PerfCounter::BloomProbes, 1);
-            if !filter.may_contain(user_key) {
+            if !filter.may_contain(extract_user_key(lookup)) {
                 if let Some(stats) = &self.stats {
                     stats.bloom_useful.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
-                return Ok(None);
+                return Ok(Probe::Absent);
             }
         }
-        let lookup = make_lookup_key(user_key, seq);
-        let mut index_iter = self.index.block().iter();
-        index_iter.seek(&lookup);
-        if !index_iter.valid() {
-            return Ok(None);
-        }
-        let handle = BlockHandle::decode_varint(index_iter.value())?;
-        let block = self.data_block(handle, fill_cache)?;
-        let mut it = block.block().iter();
-        it.seek(&lookup);
-        if it.valid() && extract_user_key(it.key()) == user_key {
-            return Ok(Some((it.key().to_vec(), it.value().to_vec())));
-        }
-        // The target may be the first key of the *next* block when the
-        // lookup key falls exactly between blocks.
-        index_iter.next();
-        if index_iter.valid() {
-            let handle = BlockHandle::decode_varint(index_iter.value())?;
-            let block = self.data_block(handle, fill_cache)?;
-            let mut it = block.block().iter();
-            it.seek(&lookup);
-            if it.valid() && extract_user_key(it.key()) == user_key {
-                return Ok(Some((it.key().to_vec(), it.value().to_vec())));
-            }
-        }
-        Ok(None)
+        self.block_after_seek(lookup, false)
     }
 
-    /// Batched point lookup: one slot per key, each equivalent to
-    /// [`Table::get_opt`] at the same `seq`, but every data block the
-    /// batch needs is fetched through [`BlockFetcher::get_many`] — the
-    /// file sees one `read_at_many` submission per round instead of one
-    /// read per key. Errors are per-slot: a corrupt block fails only the
-    /// keys that needed it.
-    pub fn get_many_opt(
+    /// Seeks `lookup` inside `block`, the data block `step` named. Returns
+    /// the entry, the next block when the key may open it (the lookup
+    /// fell exactly between blocks), or [`Probe::Absent`].
+    pub(crate) fn resolve(
         &self,
-        keys: &[&[u8]],
-        seq: SequenceNumber,
-        fill_cache: bool,
-    ) -> Vec<LookupResult> {
-        type Slot = Option<LookupResult>;
-        let mut out: Vec<Slot> = vec![None; keys.len()];
-        // (slot, lookup key, handle to read, is this the next-block retry)
-        let mut round: Vec<(usize, Vec<u8>, BlockHandle, bool)> = Vec::new();
-        for (i, user_key) in keys.iter().enumerate() {
-            if let Some((_, filter)) = &self.filter {
-                perf::incr(PerfCounter::BloomProbes, 1);
-                if !filter.may_contain(user_key) {
-                    if let Some(stats) = &self.stats {
-                        stats.bloom_useful.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    out[i] = Some(Ok(None));
-                    continue;
-                }
-            }
-            let lookup = make_lookup_key(user_key, seq);
-            let mut index_iter = self.index.block().iter();
-            index_iter.seek(&lookup);
-            if !index_iter.valid() {
-                out[i] = Some(Ok(None));
-                continue;
-            }
-            match BlockHandle::decode_varint(index_iter.value()) {
-                Ok(handle) => round.push((i, lookup, handle, false)),
-                Err(e) => out[i] = Some(Err(e)),
-            }
+        block: &Arc<Block>,
+        lookup: &[u8],
+        step: BlockStep,
+    ) -> Result<Probe> {
+        let mut it = block.iter();
+        it.seek(lookup);
+        if it.valid() && extract_user_key(it.key()) == extract_user_key(lookup) {
+            return Ok(Probe::Found(it.key().to_vec(), it.value().to_vec()));
         }
-        // At most two rounds: the primary block per key, then (for keys
-        // that fall exactly between blocks) the next block. Each round is
-        // one deduplicated get_many over this file.
-        while !round.is_empty() {
-            let mut req_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-            let mut reqs: Vec<crate::sst::fetcher::BlockRequest> = Vec::new();
-            for &(_, _, handle, _) in &round {
-                req_of.entry(handle.offset).or_insert_with(|| {
-                    reqs.push(crate::sst::fetcher::BlockRequest { handle, kind: BlockKind::Data });
-                    reqs.len() - 1
-                });
-            }
-            let fetched =
-                self.fetcher.get_many(&self.file, self.table_id, &reqs, fill_cache, self.integrity.as_ref());
-            let mut next_round = Vec::new();
-            for (slot, lookup, handle, is_retry) in round {
-                let user_key = keys[slot];
-                match &fetched[req_of[&handle.offset]] {
-                    Err(e) => out[slot] = Some(Err(e.clone())),
-                    Ok(block) => {
-                        let mut it = block.block().iter();
-                        it.seek(&lookup);
-                        if it.valid() && extract_user_key(it.key()) == user_key {
-                            out[slot] = Some(Ok(Some((it.key().to_vec(), it.value().to_vec()))));
-                            continue;
-                        }
-                        if is_retry {
-                            out[slot] = Some(Ok(None));
-                            continue;
-                        }
-                        // The target may be the first key of the *next*
-                        // block when the lookup falls exactly between
-                        // blocks — same fallback as get_opt.
-                        let mut index_iter = self.index.block().iter();
-                        index_iter.seek(&lookup);
-                        index_iter.next();
-                        if !index_iter.valid() {
-                            out[slot] = Some(Ok(None));
-                            continue;
-                        }
-                        match BlockHandle::decode_varint(index_iter.value()) {
-                            Ok(next) => next_round.push((slot, lookup, next, true)),
-                            Err(e) => out[slot] = Some(Err(e)),
-                        }
-                    }
-                }
-            }
-            round = next_round;
+        if step.fallback {
+            return Ok(Probe::Absent);
         }
-        out.into_iter().map(|slot| slot.expect("every key resolved")).collect()
+        self.block_after_seek(lookup, true)
+    }
+
+    /// The data block an index seek to `lookup` lands on, or (with
+    /// `fallback`) the block after it.
+    fn block_after_seek(&self, lookup: &[u8], fallback: bool) -> Result<Probe> {
+        let mut index_iter = self.index.block().iter();
+        index_iter.seek(lookup);
+        if fallback && index_iter.valid() {
+            index_iter.next();
+        }
+        if !index_iter.valid() {
+            return Ok(Probe::Absent);
+        }
+        let handle = BlockHandle::decode_varint(index_iter.value())?;
+        Ok(Probe::Read(BlockStep { handle, fallback }))
+    }
+
+    /// The batched-fetch request for the data block `step` names.
+    #[must_use]
+    pub(crate) fn block_request(&self, step: BlockStep) -> BlockRequest<'_> {
+        BlockRequest {
+            file: &self.file,
+            table_id: self.table_id,
+            integrity: self.integrity.as_ref(),
+            handle: step.handle,
+            kind: BlockKind::Data,
+        }
     }
 
     /// True if the bloom filter rules out `user_key` (used by stats).
@@ -534,26 +505,51 @@ mod tests {
     }
 
     #[test]
-    fn get_many_matches_serial_gets() {
+    fn plan_and_resolve_match_a_scan_within_two_blocks() {
         let env = MemEnv::new();
-        // Small blocks so the batch spans many blocks, including keys
+        // Small blocks so lookups land on many blocks, including keys
         // that fall exactly on block boundaries.
         let t = build_table(&env, "t.sst", 500, 256);
+        let mut entries = Vec::new();
+        let mut it = t.iter();
+        it.seek_to_first();
+        while it.valid() {
+            entries.push((it.key().to_vec(), it.value().to_vec()));
+            it.next();
+        }
         let names: Vec<String> = (0..500)
             .step_by(7)
             .map(|i| format!("key{i:06}"))
             .chain(["key999999".into(), "absent".into(), "key000000".into()])
             .collect();
-        let keys: Vec<&[u8]> = names.iter().map(String::as_bytes).collect();
-        let batched = t.get_many_opt(&keys, 100, true);
-        assert_eq!(batched.len(), keys.len());
-        for (key, got) in keys.iter().zip(batched) {
-            let serial = t.get_opt(key, 100, true).unwrap();
-            assert_eq!(got.unwrap(), serial, "divergence on {:?}", String::from_utf8_lossy(key));
+        for name in &names {
+            for seq in [5, 100] {
+                let expect = entries
+                    .iter()
+                    .find(|(k, _)| {
+                        extract_user_key(k) == name.as_bytes()
+                            && crate::types::extract_seq_type(k).0 <= seq
+                    })
+                    .cloned();
+                let lookup = make_lookup_key(name.as_bytes(), seq);
+                let mut probe = t.plan(&lookup).unwrap();
+                let mut reads = 0;
+                let got = loop {
+                    probe = match probe {
+                        Probe::Absent => break None,
+                        Probe::Found(k, v) => break Some((k, v)),
+                        Probe::Read(step) => {
+                            reads += 1;
+                            let block = t.data_block(step.handle, true).unwrap();
+                            t.resolve(block.block(), &lookup, step).unwrap()
+                        }
+                    };
+                };
+                assert!(reads <= 2, "{name}@{seq}: {reads} block reads");
+                assert_eq!(got, expect, "{name}@{seq}");
+                assert_eq!(t.get_opt(name.as_bytes(), seq, true).unwrap(), expect, "{name}@{seq}");
+            }
         }
-        // Sequence visibility carries through the batched path.
-        let early = t.get_many_opt(&[b"key000001"], 5, true);
-        assert!(early[0].as_ref().unwrap().is_none());
     }
 
     #[test]

@@ -163,6 +163,13 @@ impl TableCache {
         Ok(table)
     }
 
+    /// True if the reader for `file_number` is open. Unlike
+    /// [`TableCache::get`], this never opens the table.
+    #[must_use]
+    pub fn is_open(&self, file_number: u64) -> bool {
+        self.inner.lock().tables.contains_key(&file_number)
+    }
+
     /// Drops the cached reader for a deleted file.
     pub fn evict(&self, file_number: u64) {
         self.inner.lock().tables.remove(&file_number);

@@ -1,10 +1,12 @@
 //! An immutable snapshot of the LSM shape: which files live at which level.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::Result;
 use crate::iter::InternalIterator;
-use crate::types::{extract_seq_type, extract_user_key, SequenceNumber, ValueType};
+use crate::sst::{BlockStep, Probe, Table};
+use crate::types::{extract_seq_type, extract_user_key, make_lookup_key, SequenceNumber, ValueType};
 use crate::version::edit::FileMeta;
 use crate::version::table_cache::TableCache;
 
@@ -80,42 +82,39 @@ impl Version {
         seq: SequenceNumber,
         fill_cache: bool,
     ) -> Result<GetResult> {
-        // L0: newest file first; files may overlap.
-        for meta in &self.files[0] {
-            if user_key < meta.smallest_user_key() || user_key > meta.largest_user_key() {
-                continue;
-            }
-            if let Some(result) =
-                self.get_in_file(table_cache, meta, user_key, seq, fill_cache)?
-            {
-                return Ok(result);
-            }
-        }
-        // L1+: at most one candidate file per level.
-        for level in 1..self.files.len() {
-            let files = &self.files[level];
-            if files.is_empty() {
-                continue;
-            }
-            let idx = files.partition_point(|f| f.largest_user_key() < user_key);
-            if idx >= files.len() || user_key < files[idx].smallest_user_key() {
-                continue;
-            }
-            if let Some(result) =
-                self.get_in_file(table_cache, &files[idx], user_key, seq, fill_cache)?
-            {
+        for meta in self.candidates(user_key) {
+            if let Some(result) = self.get_in_file(table_cache, meta, user_key, seq, fill_cache)? {
                 return Ok(result);
             }
         }
         Ok(GetResult::NotFound)
     }
 
+    /// The files that may hold `user_key`, in the order a lookup visits
+    /// them: the overlapping L0 files newest first, then at most one file
+    /// per deeper level (found by `partition_point`).
+    fn candidates<'a>(&'a self, user_key: &'a [u8]) -> impl Iterator<Item = &'a Arc<FileMeta>> {
+        let l0 = self.files[0].iter().filter(move |f| {
+            user_key >= f.smallest_user_key() && user_key <= f.largest_user_key()
+        });
+        let deeper = self.files[1..].iter().filter_map(move |files| {
+            let idx = files.partition_point(|f| f.largest_user_key() < user_key);
+            files.get(idx).filter(|f| user_key >= f.smallest_user_key())
+        });
+        l0.chain(deeper)
+    }
+
     /// Batched point lookup at sequence `seq`: one slot per key, each
-    /// equivalent to [`Version::get_opt`]. Keys are grouped by candidate
-    /// file (per L0 file newest-first, then per level), so each table
-    /// sees its whole sub-batch in one [`crate::sst::Table::get_many_opt`]
-    /// — one batched read submission per file instead of one read per
-    /// key. Errors are per-slot.
+    /// equal to [`Version::get_opt`] and reading exactly the blocks it
+    /// would. The batch resolves in waves. A wave holds, for every
+    /// unresolved key, the next data block a serial lookup of that key
+    /// would read, across every file and level, and fetches them all in
+    /// one [`crate::sst::BlockFetcher::get_many`]: a cold batch costs a
+    /// round trip per wave, not one per file. Planning a key's next block
+    /// (`Table::plan`: bloom check, index seek) does no I/O, because
+    /// filters and indexes are pinned. A key leaves the batch once it is
+    /// found, deleted or failed; otherwise its next block or next
+    /// candidate file joins the next wave. Errors are per slot.
     pub fn multi_get_opt(
         &self,
         table_cache: &TableCache,
@@ -123,118 +122,150 @@ impl Version {
         seq: SequenceNumber,
         fill_cache: bool,
     ) -> Vec<Result<GetResult>> {
-        let mut out: Vec<Option<Result<GetResult>>> = Vec::new();
-        out.resize_with(keys.len(), || None);
-        self.warm_candidate_tables(table_cache, keys);
-        // L0: newest file first; files may overlap.
-        for meta in &self.files[0] {
-            self.multi_get_in_file(table_cache, meta, keys, seq, fill_cache, &mut out, |k| {
-                k >= meta.smallest_user_key() && k <= meta.largest_user_key()
-            });
+        /// One key's progress through its candidate files.
+        struct KeyLookup<C> {
+            lookup: Vec<u8>,
+            candidates: C,
+            /// The table being probed and the block the next wave reads.
+            pending: Option<(Arc<Table>, BlockStep)>,
         }
-        // L1+: at most one candidate file per level and key.
-        for level in 1..self.files.len() {
-            let files = &self.files[level];
-            if files.is_empty() {
-                continue;
-            }
-            for (fidx, meta) in files.iter().enumerate() {
-                self.multi_get_in_file(table_cache, meta, keys, seq, fill_cache, &mut out, |k| {
-                    files.partition_point(|f| f.largest_user_key() < k) == fidx
-                        && k >= meta.smallest_user_key()
-                });
-            }
-        }
-        out.into_iter().map(|slot| slot.unwrap_or(Ok(GetResult::NotFound))).collect()
-    }
-
-    /// Opens every table a batch might touch, concurrently.
-    ///
-    /// A cold [`crate::sst::Table::open`] costs several storage round
-    /// trips (footer, index, bloom, properties — plus the DEK resolve in
-    /// SHIELD mode); opening a batch's candidate files one after another
-    /// would serialize those trips and dominate the whole batch on a
-    /// remote env. [`TableCache::get`] is concurrency-safe and
-    /// idempotent, so this is a pure warm-up: open errors are ignored
-    /// here — the resolution pass re-encounters them and attributes them
-    /// to the right slots. Candidacy is over-approximate on purpose (a
-    /// key that resolves at L0 still warms its L1+ candidates); those
-    /// tables stay in the cache for the next lookup.
-    fn warm_candidate_tables(&self, table_cache: &TableCache, keys: &[&[u8]]) {
-        const WARM_THREADS: usize = 8;
-        let mut candidates: Vec<u64> = Vec::new();
-        for meta in &self.files[0] {
-            if keys.iter().any(|&k| {
-                k >= meta.smallest_user_key() && k <= meta.largest_user_key()
-            }) {
-                candidates.push(meta.number);
-            }
-        }
-        for level in 1..self.files.len() {
-            let files = &self.files[level];
-            for (fidx, meta) in files.iter().enumerate() {
-                if keys.iter().any(|&k| {
-                    files.partition_point(|f| f.largest_user_key() < k) == fidx
-                        && k >= meta.smallest_user_key()
-                }) {
-                    candidates.push(meta.number);
+        impl<C> KeyLookup<C> {
+            /// Applies `table`'s answer: a result resolves the key, a
+            /// block to read stays pending, `Absent` leaves the key ready
+            /// for its next candidate.
+            fn step(
+                &mut self,
+                table: Arc<Table>,
+                probe: Result<Probe>,
+            ) -> Option<Result<GetResult>> {
+                match probe {
+                    Err(e) => Some(Err(e)),
+                    Ok(Probe::Found(ikey, value)) => Some(Version::classify_entry(&ikey, value)),
+                    Ok(Probe::Read(step)) => {
+                        self.pending = Some((table, step));
+                        None
+                    }
+                    Ok(Probe::Absent) => None,
                 }
             }
         }
-        if candidates.len() < 2 {
+
+        self.warm_candidate_tables(table_cache, keys);
+        let mut out: Vec<Option<Result<GetResult>>> = Vec::new();
+        out.resize_with(keys.len(), || None);
+        let mut lookups: Vec<_> = keys
+            .iter()
+            .map(|&k| KeyLookup {
+                lookup: make_lookup_key(k, seq),
+                candidates: self.candidates(k),
+                pending: None,
+            })
+            .collect();
+        let mut unresolved: Vec<usize> = (0..keys.len()).collect();
+        loop {
+            // Plan: walk every key without a pending block to its next
+            // bloom-positive candidate.
+            unresolved.retain(|&slot| {
+                let l = &mut lookups[slot];
+                while l.pending.is_none() {
+                    let Some(meta) = l.candidates.next() else {
+                        out[slot] = Some(Ok(GetResult::NotFound));
+                        return false;
+                    };
+                    let resolved = match table_cache.get(meta.number) {
+                        Ok(table) => {
+                            let probe = table.plan(&l.lookup);
+                            l.step(table, probe)
+                        }
+                        Err(e) => Some(Err(e)),
+                    };
+                    if let Some(result) = resolved {
+                        out[slot] = Some(result);
+                        return false;
+                    }
+                }
+                true
+            });
+            if unresolved.is_empty() {
+                break;
+            }
+            // Fetch: the wave's blocks, deduplicated, in one batch.
+            let mut request_of: Vec<usize> = Vec::with_capacity(unresolved.len());
+            let fetched = {
+                let mut index: HashMap<(u64, u64), usize> = HashMap::new();
+                let mut requests = Vec::new();
+                for &slot in &unresolved {
+                    let (table, step) = lookups[slot].pending.as_ref().expect("planned");
+                    let r = *index.entry((table.table_id(), step.handle.offset)).or_insert_with(|| {
+                        requests.push(table.block_request(*step));
+                        requests.len() - 1
+                    });
+                    request_of.push(r);
+                }
+                table_cache.fetcher().get_many(&requests, fill_cache)
+            };
+            // Resolve: seek each key inside its fetched block.
+            let mut next = Vec::with_capacity(unresolved.len());
+            for (&slot, &r) in unresolved.iter().zip(&request_of) {
+                let l = &mut lookups[slot];
+                let (table, step) = l.pending.take().expect("planned");
+                let resolved = match &fetched[r] {
+                    Ok(block) => {
+                        let probe = table.resolve(block.block(), &l.lookup, step);
+                        l.step(table, probe)
+                    }
+                    Err(e) => Some(Err(e.clone())),
+                };
+                match resolved {
+                    Some(result) => out[slot] = Some(result),
+                    None => next.push(slot),
+                }
+            }
+            unresolved = next;
+        }
+        out.into_iter().map(|slot| slot.expect("every key resolved")).collect()
+    }
+
+    /// Opens the tables a batch might touch that the [`TableCache`] does
+    /// not hold yet, concurrently.
+    ///
+    /// A cold [`Table::open`] costs several storage round trips (footer,
+    /// index, bloom, properties — plus the DEK resolve in SHIELD mode);
+    /// opening a batch's candidate files one after another would
+    /// serialize those trips and dominate the whole batch on a remote
+    /// env. [`TableCache::get`] is concurrency-safe and idempotent, so
+    /// this is a pure warm-up: open errors are ignored here — the plan
+    /// step re-encounters them and attributes them to the right slots.
+    /// Candidacy is over-approximate on purpose (a key that resolves at
+    /// L0 still warms its L1+ candidates); those tables stay in the cache
+    /// for the next lookup. A batch whose tables are all open spawns
+    /// nothing.
+    fn warm_candidate_tables(&self, table_cache: &TableCache, keys: &[&[u8]]) {
+        const WARM_THREADS: usize = 8;
+        let mut cold: Vec<u64> = keys
+            .iter()
+            .flat_map(|&k| self.candidates(k))
+            .map(|f| f.number)
+            .filter(|&n| !table_cache.is_open(n))
+            .collect();
+        cold.sort_unstable();
+        cold.dedup();
+        if cold.len() < 2 {
             return; // nothing to overlap
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..candidates.len().min(WARM_THREADS) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&number) = candidates.get(i) else { break };
-                    let _ = table_cache.get(number);
-                });
-            }
-        });
-    }
-
-    /// Probes `meta` with every still-unresolved key matched by
-    /// `candidate`, resolving found/deleted/errored slots in `out`.
-    #[allow(clippy::too_many_arguments)]
-    fn multi_get_in_file(
-        &self,
-        table_cache: &TableCache,
-        meta: &FileMeta,
-        keys: &[&[u8]],
-        seq: SequenceNumber,
-        fill_cache: bool,
-        out: &mut [Option<Result<GetResult>>],
-        candidate: impl Fn(&[u8]) -> bool,
-    ) {
-        let slots: Vec<usize> = (0..keys.len())
-            .filter(|&i| out[i].is_none() && candidate(keys[i]))
-            .collect();
-        if slots.is_empty() {
-            return;
-        }
-        let table = match table_cache.get(meta.number) {
-            Ok(t) => t,
-            Err(e) => {
-                for &i in &slots {
-                    out[i] = Some(Err(e.clone()));
-                }
-                return;
-            }
+        let open = || loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(&number) = cold.get(i) else { break };
+            let _ = table_cache.get(number);
         };
-        let sub: Vec<&[u8]> = slots.iter().map(|&i| keys[i]).collect();
-        for (&i, result) in slots.iter().zip(table.get_many_opt(&sub, seq, fill_cache)) {
-            match result {
-                Ok(None) => {} // not in this file; deeper sources may hold it
-                Ok(Some((ikey, value))) => {
-                    debug_assert_eq!(extract_user_key(&ikey), keys[i]);
-                    out[i] = Some(Self::classify_entry(&ikey, value));
-                }
-                Err(e) => out[i] = Some(Err(e)),
+        std::thread::scope(|scope| {
+            // The calling thread opens tables too.
+            for _ in 1..cold.len().min(WARM_THREADS) {
+                scope.spawn(open);
             }
-        }
+            open();
+        });
     }
 
     /// Maps a raw table entry to its visible [`GetResult`].

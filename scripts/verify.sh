@@ -70,6 +70,10 @@
 #           engagement check — the tailer must apply >0 manifest edits
 #           and >0 WAL records and finish with zero staleness
 #           (see DESIGN.md §4l).
+#   tier 12: bench-build — the repository benchmark (shieldbench/, its
+#           own Cargo package outside the workspace) must build and pass
+#           its tests against the current engine API, so an API change
+#           that breaks it fails here rather than in a benchmark run.
 #   lint  : no .unwrap() in library (non-test) code of the hardened
 #           engine paths crates/lsm/src/{wal.rs,sst/,db/} — recoverable
 #           errors must stay errors (see DESIGN.md §4c); plus clippy's
@@ -85,7 +89,7 @@
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick skips the release build and the tiers that need it
-#   (clippy gate, tier 3 bench-smoke).
+#   (clippy gate, tier 3 bench-smoke, tier 12 bench-build).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -245,5 +249,11 @@ if [[ $quick -eq 0 ]]; then
     done
 fi
 echo "ok"
+
+if [[ $quick -eq 0 ]]; then
+    echo "== tier 12: bench-build (repository benchmark builds and passes its tests) =="
+    cargo test -q --release --offline --manifest-path shieldbench/Cargo.toml
+    echo "ok"
+fi
 
 echo "ALL VERIFICATION TIERS PASSED"
