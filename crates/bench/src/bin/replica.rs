@@ -6,7 +6,9 @@
 //!
 //! Measured quantities:
 //!   * **live tail lag** — staleness (records) observed after each
-//!     poll round while the primary ingests at full speed,
+//!     poll round while the primary ingests at full speed (the live
+//!     phase flushes once midway, so a round warms the new L0 file
+//!     into the replica's block cache: `replica_warmed_blocks`),
 //!   * **catch-up throughput** — WAL records/s the replay engine
 //!     applies when draining a quiesced backlog,
 //!   * **replica read throughput** — random gets served from the
@@ -149,6 +151,12 @@ fn main() -> ExitCode {
             eprintln!("live put: {err}");
             return ExitCode::FAILURE;
         }
+        if id == live_keys / 2 {
+            if let Err(err) = primary.flush() {
+                eprintln!("live flush: {err}");
+                return ExitCode::FAILURE;
+            }
+        }
         if id % batch == 0 {
             let t = Instant::now();
             if let Err(err) = replica.catch_up() {
@@ -282,6 +290,7 @@ fn main() -> ExitCode {
     let _ = writeln!(s, "  \"manifest_edits_applied\": {},", snapshot.replica_manifest_edits_applied);
     let _ = writeln!(s, "  \"wal_records_applied\": {},", snapshot.replica_wal_records_applied);
     let _ = writeln!(s, "  \"rollovers_followed\": {},", snapshot.replica_rollovers_followed);
+    let _ = writeln!(s, "  \"replica_warmed_blocks\": {},", snapshot.replica_warmed_blocks);
     let _ = writeln!(s, "  \"final_staleness\": {}", replica.staleness());
     s.push_str("}\n");
     print!("{s}");

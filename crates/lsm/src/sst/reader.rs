@@ -281,14 +281,14 @@ impl Table {
         Ok(Probe::Read(BlockStep { handle, fallback }))
     }
 
-    /// The batched-fetch request for the data block `step` names.
+    /// The batched-fetch request for the data block at `handle`.
     #[must_use]
-    pub(crate) fn block_request(&self, step: BlockStep) -> BlockRequest<'_> {
+    pub(crate) fn block_request(&self, handle: BlockHandle) -> BlockRequest<'_> {
         BlockRequest {
             file: &self.file,
             table_id: self.table_id,
             integrity: self.integrity.as_ref(),
-            handle: step.handle,
+            handle,
             kind: BlockKind::Data,
         }
     }
@@ -307,17 +307,30 @@ impl Table {
     /// real user key.
     pub fn index_spans(&self) -> Result<Vec<(Vec<u8>, u64)>> {
         let mut spans = Vec::new();
+        self.for_each_data_block(|key, handle| {
+            spans.push((extract_user_key(key).to_vec(), handle.size + self.trailer_len as u64));
+        })?;
+        Ok(spans)
+    }
+
+    /// Batched-fetch requests for every data block, in file order: what a
+    /// whole-table warm ([`crate::ReplicaDb::catch_up`]) reads.
+    pub(crate) fn data_block_requests(&self) -> Result<Vec<BlockRequest<'_>>> {
+        let mut requests = Vec::new();
+        self.for_each_data_block(|_, handle| requests.push(self.block_request(handle)))?;
+        Ok(requests)
+    }
+
+    /// The one walk over the index: calls `visit` with each data block's
+    /// index key (the block's last internal key) and handle, in key order.
+    fn for_each_data_block(&self, mut visit: impl FnMut(&[u8], BlockHandle)) -> Result<()> {
         let mut it = self.index.block().iter();
         it.seek_to_first();
         while it.valid() {
-            let handle = BlockHandle::decode_varint(it.value())?;
-            spans.push((
-                extract_user_key(it.key()).to_vec(),
-                handle.size + self.trailer_len as u64,
-            ));
+            visit(it.key(), BlockHandle::decode_varint(it.value())?);
             it.next();
         }
-        Ok(spans)
+        Ok(())
     }
 
     /// A full-table iterator with the fetcher's default readahead depth.

@@ -169,6 +169,9 @@ tickers! {
         /// Catch-up rounds that ended on a torn/in-flight tail (manifest
         /// or WAL) and will retry from the held position.
         replica_incomplete_tails,
+        /// Data blocks of newly flushed L0 files a replica read into its
+        /// block cache before retiring the memtables they replace.
+        replica_warmed_blocks,
     }
     shared {
         /// `read_at_many` batch submissions issued by the block fetcher
@@ -317,6 +320,6 @@ mod tests {
         for (n, _) in &counters {
             assert!(!gauges.iter().any(|(g, _)| g == n), "{n} in both sections");
         }
-        assert_eq!(counters.len() + gauges.len(), 51);
+        assert_eq!(counters.len() + gauges.len(), 52);
     }
 }

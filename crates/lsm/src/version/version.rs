@@ -197,7 +197,7 @@ impl Version {
                 for &slot in &unresolved {
                     let (table, step) = lookups[slot].pending.as_ref().expect("planned");
                     let r = *index.entry((table.table_id(), step.handle.offset)).or_insert_with(|| {
-                        requests.push(table.block_request(*step));
+                        requests.push(table.block_request(step.handle));
                         requests.len() - 1
                     });
                     request_of.push(r);

@@ -66,10 +66,11 @@
 #           live primary across plain/EncFS/SHIELD, WAL switches under
 #           load, primary crash mid-manifest-edit, the staleness bound
 #           tripping under injected faults, SHIELD-over-RemoteEnv with
-#           the reader's own DEK resolver), plus the replica bench's
-#           engagement check — the tailer must apply >0 manifest edits
-#           and >0 WAL records and finish with zero staleness
-#           (see DESIGN.md §4l).
+#           the reader's own DEK resolver, the warm-before-retire of
+#           flushed L0 files), plus the replica bench's engagement check —
+#           the tailer must apply >0 manifest edits and >0 WAL records,
+#           warm >0 flushed L0 blocks (replica_warmed_blocks) and finish
+#           with zero staleness (see DESIGN.md §4l).
 #   tier 12: bench-build — the repository benchmark (shieldbench/, its
 #           own Cargo package outside the workspace) must build and pass
 #           its tests against the current engine API, so an API change
@@ -247,6 +248,10 @@ if [[ $quick -eq 0 ]]; then
             exit 1
         fi
     done
+    if ! grep -q '"replica_warmed_blocks": [1-9]' /tmp/BENCH_replica_smoke.json; then
+        echo "FAIL: BENCH_replica_smoke.json missing replica_warmed_blocks > 0"
+        exit 1
+    fi
 fi
 echo "ok"
 

@@ -37,7 +37,7 @@ const TOP_KEYS: [&str; 10] = [
 /// values (`block_cache_*`, `readahead_*`, `env_faults_injected`,
 /// `resolver_*`) are tickers too: they only ever grow, so interval
 /// deltas are meaningful.
-const TICKER_KEYS: [&str; 47] = [
+const TICKER_KEYS: [&str; 48] = [
     "writes",
     "write_groups",
     "wal_bytes",
@@ -67,6 +67,7 @@ const TICKER_KEYS: [&str; 47] = [
     "replica_wal_records_applied",
     "replica_rollovers_followed",
     "replica_incomplete_tails",
+    "replica_warmed_blocks",
     "batched_reads",
     "batch_read_requests",
     "block_cache_hits",
