@@ -624,6 +624,12 @@ impl BlockCache {
         (s.hits(), s.misses())
     }
 
+    /// Total byte capacity across all shards.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().capacity).sum()
+    }
+
     /// Total bytes currently charged (pinned + resident).
     #[must_use]
     pub fn usage(&self) -> usize {
@@ -689,6 +695,7 @@ mod tests {
             drop(cache.insert((i, 0), &block(100), 100, BlockKind::Data, false));
         }
         assert!(cache.usage() <= 1000, "usage {}", cache.usage());
+        assert_eq!(cache.capacity(), 1000);
         assert_eq!(cache.len(), 10);
         assert!(cache.stats().evictions >= 190);
     }
